@@ -96,7 +96,7 @@ func (c *Comm) Waitall(ops ...*Op) error {
 // global-maximum reduction, the radix schedule, and staging-buffer
 // allocation once; the first Start additionally freezes the metadata
 // every sub-step would exchange, so later Starts move half the
-// messages. It supersedes the two-phase-only Plan for new code.
+// messages.
 type Persistent struct {
 	c *Comm
 	h *coll.PersistentV

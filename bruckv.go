@@ -714,42 +714,6 @@ func (c *Comm) AlltoallvWith(alg Algorithm, send []byte, scounts, sdispls []int,
 	return impl(c.p, sb, scounts, sdispls, rb, rcounts, rdispls)
 }
 
-// Plan is a persistent non-uniform all-to-all whose counts are fixed
-// across repetitions: planning pays the validation, the global-maximum
-// Allreduce, the rotation index, and buffer allocation once, and each
-// Execute runs only the two-phase Bruck exchange steps.
-type Plan struct {
-	c  *Comm
-	pl *coll.TwoPhasePlan
-}
-
-// PlanAlltoallv builds a persistent plan for the given layout. It is a
-// collective: all ranks must plan together.
-func (c *Comm) PlanAlltoallv(scounts, sdispls, rcounts, rdispls []int) (*Plan, error) {
-	pl, err := coll.PlanTwoPhase(c.p, scounts, sdispls, rcounts, rdispls)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{c: c, pl: pl}, nil
-}
-
-// Execute performs one planned exchange. send and recv must match the
-// layout given at planning time (nil allowed in phantom worlds).
-func (p *Plan) Execute(send, recv []byte) error {
-	sb, err := p.c.buf(send, p.pl.SendSpan())
-	if err != nil {
-		return err
-	}
-	rb, err := p.c.buf(recv, p.pl.RecvSpan())
-	if err != nil {
-		return err
-	}
-	return p.pl.Execute(sb, rb)
-}
-
-// MaxBlock returns the plan's global maximum block size in bytes.
-func (p *Plan) MaxBlock() int { return p.pl.MaxBlock() }
-
 // Displacements returns the packed displacement array for counts plus
 // the total byte count — the common layout helper.
 func Displacements(counts []int) (displs []int, total int) {

@@ -335,9 +335,9 @@ func TestAlltoallWithAllVariants(t *testing.T) {
 	}
 }
 
-func TestPlanThroughFacade(t *testing.T) {
+func TestPersistentThroughFacade(t *testing.T) {
 	const P = 6
-	w, err := NewWorld(P, WithMachine(ZeroCost()))
+	w, err := NewWorld(P, WithMachine(ZeroCost()), WithAlgorithm(TwoPhaseBruck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,12 +347,13 @@ func TestPlanThroughFacade(t *testing.T) {
 			counts[d] = 3
 		}
 		displs, total := Displacements(counts)
-		pl, err := c.PlanAlltoallv(counts, displs, counts, displs)
+		h, err := c.AlltoallvInit(counts, displs, counts, displs)
 		if err != nil {
 			return err
 		}
-		if pl.MaxBlock() != 3 {
-			t.Errorf("MaxBlock = %d", pl.MaxBlock())
+		defer h.Free()
+		if h.MaxBlock() != 3 || h.Radix() != 2 {
+			t.Errorf("MaxBlock = %d, Radix = %d; want 3 and the pinned 2", h.MaxBlock(), h.Radix())
 		}
 		send := make([]byte, total)
 		for i := range send {
@@ -360,7 +361,7 @@ func TestPlanThroughFacade(t *testing.T) {
 		}
 		recv := make([]byte, total)
 		for round := 0; round < 2; round++ {
-			if err := pl.Execute(send, recv); err != nil {
+			if err := h.Start(send, recv); err != nil {
 				return err
 			}
 		}

@@ -321,15 +321,13 @@ func Auto(t *Table) Alltoallv {
 		run := p.Phase(sel.PhaseLabel())
 		defer run()
 		switch sel.Algorithm {
-		case "two-phase":
-			return twoPhaseWithMax(p, maxN, send, scounts, sdispls, recv, rcounts, rdispls)
 		case "padded-bruck":
 			return paddedWithMax(p, maxN, send, scounts, sdispls, recv, rcounts, rdispls, ZeroRotationBruck)
 		case "spreadout":
 			return spreadOutWindowed(p, send, scounts, sdispls, recv, rcounts, rdispls, 0)
 		}
 		if r, ok := RadixOfName(sel.Algorithm); ok {
-			return twoPhaseRadixWithMax(p, r, maxN, send, scounts, sdispls, recv, rcounts, rdispls)
+			return twoPhaseExchange(p, r, maxN, send, scounts, sdispls, recv, rcounts, rdispls)
 		}
 		return fmt.Errorf("coll: auto selected unknown algorithm %q", sel.Algorithm)
 	}

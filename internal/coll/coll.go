@@ -151,35 +151,29 @@ func CountsExchange(p *mpi.Proc, scounts []int, rcounts []int) error {
 // Tag blocks per algorithm family (user tags >= 0; collectives reserve
 // tags below -1000).
 const (
-	tagBruck     = 100 // uniform Bruck comm steps
+	tagBruck     = 100 // basic and modified uniform Bruck comm steps
 	tagPairwise  = 140
 	tagSpreadOut = 160
-	tagMeta      = 200 // two-phase metadata (binary: tagMeta+k, k < 20)
-	tagData      = 220 // two-phase payload (binary: tagData+k, k < 20)
 	tagSloav     = 260
 	tagNaive     = 300
 )
 
-// Radix-r Bruck sub-step tags. The radix variants index their tags by
-// the running sub-step counter — not by a packed (position, digit) pair,
-// which aliased: base + k*16 + d collides for (k, d) vs (k+1, d-16) once
-// d can reach 17 (r >= 18), and the 20-tag gap between tagMeta and
-// tagData lets metadata tags of later positions walk into the data band
-// for r >= 6 (meta k,d=5 == data k-1,d=1). Each stream gets its own
-// band, 1<<24 tags wide: a radix schedule has fewer than
-// (r-1)*ceil(log_r P) + r sub-steps, so the bands stay disjoint for any
-// realistic world, and the largest value (4<<24) is far below the int32
-// ceiling of the match key.
-// The collective families beyond Alltoallv (allgatherv, reduce-scatter,
-// allreduce) index their own bands by the same running step-index
-// discipline; a family needs at most ceil(log2 P) + 2 tags (log-P
-// schedule steps plus the remainder fold-in/fold-out transfers), so
-// each band is again far wider than any schedule, and the largest base
-// (6<<24) stays far below the int32 ceiling of the match key.
+// Log-P schedule tags. Every schedule-driven collective indexes its
+// tags by the running step counter of its walk, in a band of its own:
+// the zero-rotation exchange, the two-phase metadata and payload
+// streams, and the collective families. Each band is 1<<24 tags wide.
+// A radix schedule has fewer than (r-1)*ceil(log_r P) + r sub-steps and
+// a family needs at most ceil(log2 P) + 2 tags (schedule steps plus the
+// remainder fold-in/fold-out transfers), so the bands stay disjoint for
+// any realistic world, and the largest base (6<<24) stays far below the
+// int32 ceiling of the match key. A packed (position, digit) tag would
+// alias instead: base + k*16 + d collides for (k, d) vs (k+1, d-16)
+// once d can reach 17 (r >= 18), and two bands 20 tags apart let
+// metadata tags of later positions walk into the data band for r >= 6.
 const (
-	tagRadixUniform = 1 << 24 // zero-rotation radix comm sub-steps
-	tagRadixMeta    = 2 << 24 // radix two-phase metadata
-	tagRadixData    = 3 << 24 // radix two-phase payload
+	tagRadixUniform = 1 << 24 // zero-rotation comm sub-steps
+	tagRadixMeta    = 2 << 24 // two-phase metadata
+	tagRadixData    = 3 << 24 // two-phase payload
 	tagAllgatherv   = 4 << 24 // allgatherv family schedule steps
 	tagRedScat      = 5 << 24 // reduce-scatter family schedule steps + folds
 	tagAllreduce    = 6 << 24 // allreduce family schedule steps + folds

@@ -56,7 +56,7 @@ func AllgathervInit(p *mpi.Proc, rcounts, rdispls []int) (*PersistentAG, error) 
 	if P == 1 || h.total == 0 {
 		return h, nil
 	}
-	h.sched = buildSchedule(P, rank, 0, dissemGen(P, rank))
+	h.sched = buildSchedule(P, rank, dissemGen(P, rank))
 	h.w = p.AllocBuf(h.total)
 	h.outB = make([]int, len(h.sched.steps))
 	h.inOff = make([]int, len(h.sched.steps))
@@ -175,7 +175,7 @@ func ReduceScatterInit(p *mpi.Proc, op ReduceOp, counts []int) (*PersistentRS, e
 	if rank >= h.p2 {
 		return h, nil // remainder rank: only the fold transfers
 	}
-	h.sched = buildSchedule(P, rank, 0, halvingGen(rank, h.p2, h.rem))
+	h.sched = buildSchedule(P, rank, halvingGen(rank, h.p2, h.rem))
 	h.w = p.AllocBuf(h.total)
 	h.stage = p.AllocBuf(h.total)
 	h.rstage = p.AllocBuf(h.total)
@@ -358,7 +358,7 @@ func AllreduceInit(p *mpi.Proc, op ReduceOp, n int) (*PersistentAR, error) {
 	h.rem = P - h.p2
 	h.scratch = p.AllocBuf(n)
 	if rank < h.p2 {
-		h.sched = buildSchedule(P, rank, 0, doublingGen(rank, h.p2, 0))
+		h.sched = buildSchedule(P, rank, doublingGen(rank, h.p2, 0))
 	}
 	return h, nil
 }

@@ -118,7 +118,7 @@ func paddedCommon(p *mpi.Proc, send buffer.Buf, scounts, sdispls []int,
 }
 
 // paddedWithMax is the padded exchange after validation and the
-// max-block Allreduce (see twoPhaseWithMax). N must be the true global
+// max-block Allreduce (see twoPhaseExchange). N must be the true global
 // maximum of scounts across ranks.
 func paddedWithMax(p *mpi.Proc, N int, send buffer.Buf, scounts, sdispls []int,
 	recv buffer.Buf, rcounts, rdispls []int, uniform Alltoall) error {

@@ -62,6 +62,160 @@ func TestPersistentMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestPersistentMatchesReference runs one radix-2 handle several times
+// with evolving payload contents under a fixed layout and checks every
+// Start against the naive reference.
+func TestPersistentMatchesReference(t *testing.T) {
+	const P, maxN = 9, 13
+	w, err := mpi.NewWorld(P, mpi.WithModel(machine.Zero()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(p *mpi.Proc) error {
+		send, sc, sd, rc, rd, rTotal := vSetup(p.Rank(), P, maxN, 21)
+		h, err := AlltoallvInit(p, 2, sc, sd, rc, rd)
+		if err != nil {
+			return err
+		}
+		defer h.Free()
+		for round := 0; round < 3; round++ {
+			for d := 0; d < P; d++ {
+				for j := 0; j < sc[d]; j++ {
+					send.SetByte(sd[d]+j, patByte(p.Rank(), d, j)+byte(round))
+				}
+			}
+			got := buffer.New(rTotal)
+			want := buffer.New(rTotal)
+			if err := h.Start(send, got); err != nil {
+				return err
+			}
+			if err := NaiveAlltoallv(p, send, sc, sd, want, rc, rd); err != nil {
+				return err
+			}
+			if !buffer.Equal(got, want) {
+				t.Errorf("round %d: persistent result differs from reference on rank %d", round, p.Rank())
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPlanAmortizesSetup: over repeated exchanges with a fixed layout,
+// a persistent radix-2 plan beats calling TwoPhaseBruck each time — the
+// max-block Allreduce, the rotation index, and (after the first Start)
+// the metadata phase are paid once.
+func TestPlanAmortizesSetup(t *testing.T) {
+	const P, maxN, rounds = 32, 64, 10
+	run := func(persistent bool) float64 {
+		w, err := mpi.NewWorld(P, mpi.WithModel(machine.Theta()), mpi.WithPhantom())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(func(p *mpi.Proc) error {
+			sc := make([]int, P)
+			rc := make([]int, P)
+			for d := 0; d < P; d++ {
+				sc[d] = blockSize(31, p.Rank(), d, maxN)
+				rc[d] = blockSize(31, d, p.Rank(), maxN)
+			}
+			sd, st := ContigDispls(sc)
+			rd, rt := ContigDispls(rc)
+			send := buffer.Phantom(st)
+			recv := buffer.Phantom(rt)
+			if persistent {
+				h, err := AlltoallvInit(p, 2, sc, sd, rc, rd)
+				if err != nil {
+					return err
+				}
+				defer h.Free()
+				for i := 0; i < rounds; i++ {
+					if err := h.Start(send, recv); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			for i := 0; i < rounds; i++ {
+				if err := TwoPhaseBruck(p, send, sc, sd, recv, rc, rd); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.MaxTime()
+	}
+	if persistent, adhoc := run(true), run(false); persistent >= adhoc {
+		t.Errorf("persistent execution (%v) should beat ad-hoc (%v) over %d rounds", persistent, adhoc, rounds)
+	}
+}
+
+// TestPlanValidation: a persistent radix-2 plan rejects a self-block
+// size mismatch at init and an undersized buffer at Start.
+func TestPlanValidation(t *testing.T) {
+	const P = 4
+	w, err := mpi.NewWorld(P, mpi.WithModel(machine.Zero()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(p *mpi.Proc) error {
+		good := []int{2, 2, 2, 2}
+		disp := []int{0, 2, 4, 6}
+		bad := []int{2, 2, 2, 2}
+		bad[p.Rank()] = 3
+		if _, err := AlltoallvInit(p, 2, bad, disp, good, disp); err == nil {
+			t.Error("self mismatch accepted")
+		}
+		h, err := AlltoallvInit(p, 2, good, disp, good, disp)
+		if err != nil {
+			return err
+		}
+		defer h.Free()
+		if err := h.Start(buffer.New(4), buffer.New(8)); err == nil {
+			t.Error("undersized send buffer accepted")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPlanSingleRank: on one rank a persistent plan is the self copy.
+func TestPlanSingleRank(t *testing.T) {
+	w, err := mpi.NewWorld(1, mpi.WithModel(machine.Zero()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(p *mpi.Proc) error {
+		sc := []int{5}
+		sd := []int{0}
+		h, err := AlltoallvInit(p, 2, sc, sd, sc, sd)
+		if err != nil {
+			return err
+		}
+		defer h.Free()
+		send := buffer.New(5)
+		send.FillPattern(3)
+		recv := buffer.New(5)
+		if err := h.Start(send, recv); err != nil {
+			return err
+		}
+		if !buffer.Equal(send, recv) {
+			t.Error("single-rank plan should copy the self block")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPersistentNewPayloadEachStart guards against stale frozen data:
 // a Start after the freeze must transmit the send buffer's current
 // bytes, not the first execution's.

@@ -8,21 +8,20 @@ import (
 	"bruckv/internal/mpi"
 )
 
-// Tunable-radix Bruck variants.
+// Tunable-radix Bruck.
 //
-// The original Bruck construction works in any base r, not just binary:
-// with radix r there are ceil(log_r P) digit positions and, at position
-// k, r-1 sub-steps — one per nonzero digit value d — each exchanging the
+// The Bruck construction works in any base r, not just binary: with
+// radix r there are ceil(log_r P) digit positions and, at position k,
+// r-1 sub-steps — one per nonzero digit value d — each exchanging the
 // blocks whose k-th base-r digit equals d with the rank at distance
 // d·r^k. Larger radices transmit each block fewer times (one hop per
 // nonzero digit, and indices have fewer digits in a larger base) at the
-// price of more messages per position ((r-1)·log_r P total). The paper's
-// conclusion calls for exactly this exploration; these implementations
-// extend zero-rotation Bruck and two-phase Bruck to arbitrary radix, and
-// reduce to the binary versions at r=2 (a property the tests assert).
-// The sub-step sequence, partners, and block lists come from the
-// schedule engine's radix generator (schedule.go), which the persistent
-// handles additionally freeze and reuse.
+// price of more messages per position ((r-1)·log_r P total). The
+// paper's binary algorithms are the r=2 case: ZeroRotationBruck is
+// ZeroRotationBruckRadix(2) and TwoPhaseBruck is TwoPhaseBruckRadix(2)
+// (twophase.go). The sub-step sequence, partners, and block lists come
+// from the schedule engine's radix walk (schedule.go), which the
+// persistent handles additionally freeze and reuse.
 
 // ErrInvalidRadix marks a Bruck radix below 2 passed to
 // ZeroRotationBruckRadix, TwoPhaseBruckRadix, or AlltoallvInit.
@@ -53,199 +52,91 @@ func digitSlots(dst []int, P, r, k, d int) []int {
 	return dst
 }
 
-// radixSteps returns the digit positions' strides (r^0, r^1, ...) below
-// P.
-func radixSteps(P, r int) []int {
-	var out []int
-	for s := 1; s < P; s *= r {
-		out = append(out, s)
-	}
-	return out
-}
-
 // maxDigitBlocks returns the largest number of blocks any (position,
-// digit) sub-step transmits — the staging buffer bound. The top digit
-// position can carry up to P-step blocks, so ceil(P/r) is not enough.
+// digit) sub-step transmits — the staging bound. The top digit position
+// can carry up to P-step blocks, so ceil(P/r) is not enough. At r=2 it
+// equals (P+1)/2 for power-of-two P and is smaller otherwise.
 func maxDigitBlocks(P, r int) int {
 	m := 0
-	for _, step := range radixSteps(P, r) {
+	for step := 1; step < P; step *= r {
 		for d := 1; d < r && d*step < P; d++ {
 			n := 0
 			for base := d * step; base < P; base += r * step {
-				hi := base + step
-				if hi > P {
-					hi = P
-				}
-				n += hi - base
+				n += min(step, P-base)
 			}
-			if n > m {
-				m = n
-			}
+			m = max(m, n)
 		}
 	}
 	return m
 }
 
 // ZeroRotationBruckRadix returns a uniform all-to-all implementation
-// using radix-r zero-rotation Bruck. r must be at least 2;
-// ZeroRotationBruckRadix(2) behaves exactly like ZeroRotationBruck.
+// using radix-r zero-rotation Bruck. r must be at least 2.
 func ZeroRotationBruckRadix(r int) Alltoall {
 	return func(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error {
 		if r < 2 {
 			return errRadix(r)
 		}
-		if err := checkUniform(p, send, n, recv); err != nil {
-			return err
-		}
-		P := p.Size()
-		rank := p.Rank()
-
-		idx := make([]int, P)
-		for s := 0; s < P; s++ {
-			idx[s] = ((2*rank-s)%P + P) % P
-		}
-		p.Charge(float64(P))
-		p.Memcpy(recv.Slice(rank*n, n), send.Slice(idx[rank]*n, n))
-		if P == 1 {
-			return nil
-		}
-
-		done := p.Phase(PhaseComm)
-		defer done()
-		defer p.ClearStep()
-		status := make([]bool, P)
-		maxB := maxDigitBlocks(P, r)
-		stage := p.AllocBuf(maxB * n)
-		rstage := p.AllocBuf(maxB * n)
-		defer p.FreeBuf(stage, rstage)
-		return radixGen(P, rank, r)(func(si int, sub *schedStep) error {
-			p.SetStep(si)
-			for j, i := range sub.rel {
-				s := (i + rank) % P
-				var blk buffer.Buf
-				if status[s] {
-					blk = recv.Slice(s*n, n)
-				} else {
-					blk = send.Slice(idx[s]*n, n)
-				}
-				p.Memcpy(stage.Slice(j*n, n), blk)
-			}
-			total := len(sub.rel) * n
-			utag := tagRadixUniform + si
-			p.SendRecv(sub.dst, utag, stage.Slice(0, total), sub.src, utag, rstage.Slice(0, total))
-			for j, i := range sub.rel {
-				s := (i + rank) % P
-				p.Memcpy(recv.Slice(s*n, n), rstage.Slice(j*n, n))
-				status[s] = true
-			}
-			return nil
-		})
+		return zeroRotation(p, r, send, n, recv)
 	}
 }
 
-// TwoPhaseBruckRadix returns a non-uniform all-to-all implementation
-// using radix-r two-phase Bruck: the paper's Algorithm 1 generalized to
-// r-ary digits, with one metadata+data exchange per (position, digit)
-// sub-step. TwoPhaseBruckRadix(2) behaves exactly like TwoPhaseBruck.
-func TwoPhaseBruckRadix(r int) Alltoallv {
-	return func(p *mpi.Proc, send buffer.Buf, scounts, sdispls []int,
-		recv buffer.Buf, rcounts, rdispls []int) error {
-		if r < 2 {
-			return errRadix(r)
-		}
-		if err := checkV(p, send, scounts, sdispls, recv, rcounts, rdispls); err != nil {
-			return err
-		}
-		N := p.AllreduceMaxInt(maxInts(scounts))
-		return twoPhaseRadixWithMax(p, r, N, send, scounts, sdispls, recv, rcounts, rdispls)
+// zeroRotation is radix-r zero-rotation Bruck: the modified Bruck's
+// communication pattern (no final rotation) driven by SLOAV's rotation
+// index array (no initial rotation). A block is fetched from the send
+// buffer through the index on its first transmission and from the
+// receive buffer afterwards, tracked by a status array.
+func zeroRotation(p *mpi.Proc, r int, send buffer.Buf, n int, recv buffer.Buf) error {
+	if err := checkUniform(p, send, n, recv); err != nil {
+		return err
 	}
-}
-
-// twoPhaseRadixWithMax is the radix-r two-phase exchange after
-// validation and the max-block Allreduce (see twoPhaseWithMax).
-func twoPhaseRadixWithMax(p *mpi.Proc, r, N int, send buffer.Buf, scounts, sdispls []int,
-	recv buffer.Buf, rcounts, rdispls []int) error {
 	P := p.Size()
 	rank := p.Rank()
 
-	if err := selfCopy(p, send, scounts, sdispls, recv, rcounts, rdispls); err != nil {
-		return err
-	}
-	if P == 1 || N == 0 {
-		return nil
-	}
-
-	w := p.AllocBuf(P * N)
-	defer p.FreeBuf(w)
-	idx := make([]int, P)
-	for s := 0; s < P; s++ {
+	// Rotation index array: idx[s] is where slot s's initial block lives
+	// in the send buffer. Cost O(P), not O(P*n).
+	maxB := maxDigitBlocks(P, r)
+	ints := make([]int, P+maxB)
+	idx, rel := ints[:P], ints[P:P]
+	for s := range idx {
 		idx[s] = ((2*rank-s)%P + P) % P
 	}
-	p.Charge(float64(P))
+	p.Charge(float64(P)) // ~1ns per index entry
 
-	size := make([]int, P)
-	for s := 0; s < P; s++ {
-		size[s] = scounts[idx[s]]
+	// Self block goes straight to its final position.
+	p.Memcpy(recv.Slice(rank*n, n), send.Slice(idx[rank]*n, n))
+	if P == 1 {
+		return nil
 	}
-	status := make([]bool, P)
-
-	maxB := maxDigitBlocks(P, r)
-	stage := p.AllocBuf(maxB * N)
-	rstage := p.AllocBuf(maxB * N)
-	meta := p.AllocReal(4 * maxB)
-	rmeta := p.AllocReal(4 * maxB)
-	defer p.FreeBuf(stage, rstage, meta, rmeta)
 
 	done := p.Phase(PhaseComm)
 	defer done()
 	defer p.ClearStep()
-	return radixGen(P, rank, r)(func(si int, sub *schedStep) error {
-		p.SetStep(si)
-
+	status := make([]bool, P)
+	stage := p.AllocBuf(maxB * n)
+	rstage := p.AllocBuf(maxB * n)
+	defer p.FreeBuf(stage, rstage)
+	for it := newRadixWalk(P, rank, r, rel); it.next(); {
+		sub := &it.st
+		p.SetStep(it.si)
 		for j, i := range sub.rel {
-			s := (i + rank) % P
-			meta.PutUint32(4*j, uint32(size[s]))
-		}
-		mtag := tagRadixMeta + si
-		p.SendRecv(sub.dst, mtag, meta.Slice(0, 4*len(sub.rel)), sub.src, mtag, rmeta.Slice(0, 4*len(sub.rel)))
-
-		off := 0
-		for _, i := range sub.rel {
 			s := (i + rank) % P
 			var blk buffer.Buf
 			if status[s] {
-				blk = w.Slice(s*N, size[s])
+				blk = recv.Slice(s*n, n)
 			} else {
-				blk = send.Slice(sdispls[idx[s]], size[s])
+				blk = send.Slice(idx[s]*n, n)
 			}
-			p.Memcpy(stage.Slice(off, size[s]), blk)
-			off += size[s]
+			p.Memcpy(stage.Slice(j*n, n), blk)
 		}
-		dtag := tagRadixData + si
-		p.Send(sub.dst, dtag, stage.Slice(0, off))
-
-		total := 0
-		for j := range sub.rel {
-			total += int(rmeta.Uint32(4 * j))
-		}
-		p.Recv(sub.src, dtag, rstage.Slice(0, total))
-
-		roff := 0
+		total := len(sub.rel) * n
+		utag := tagRadixUniform + it.si
+		p.SendRecv(sub.dst, utag, stage.Slice(0, total), sub.src, utag, rstage.Slice(0, total))
 		for j, i := range sub.rel {
 			s := (i + rank) % P
-			sz := int(rmeta.Uint32(4 * j))
-			if j < sub.final { // final hop: highest nonzero digit is this position
-				if sz != rcounts[s] {
-					return fmt.Errorf("coll: two-phase-r%d: block for slot %d arrived with %d bytes, rcounts says %d", r, s, sz, rcounts[s])
-				}
-				p.Memcpy(recv.Slice(rdispls[s], sz), rstage.Slice(roff, sz))
-			} else {
-				p.Memcpy(w.Slice(s*N, sz), rstage.Slice(roff, sz))
-			}
-			roff += sz
-			size[s] = sz
+			p.Memcpy(recv.Slice(s*n, n), rstage.Slice(j*n, n))
 			status[s] = true
 		}
-		return nil
-	})
+	}
+	return nil
 }

@@ -34,16 +34,18 @@ func TestDigitSlots(t *testing.T) {
 }
 
 func TestDigitSlotsPartition(t *testing.T) {
-	// Across all (k, d), every index 1..P-1 appears exactly once per
-	// nonzero digit of its base-r representation.
+	// Across the radix walk's steps, every index 1..P-1 appears exactly
+	// once per nonzero digit of its base-r representation, and no step
+	// exceeds the staging bound.
 	for _, P := range []int{7, 16, 27, 30} {
 		for _, r := range []int{2, 3, 4, 5} {
 			count := make([]int, P)
-			for k, step := range radixSteps(P, r) {
-				for d := 1; d < r && d*step < P; d++ {
-					for _, i := range digitSlots(nil, P, r, k, d) {
-						count[i]++
-					}
+			for it := newRadixWalk(P, 0, r, nil); it.next(); {
+				if n, bound := len(it.st.rel), maxDigitBlocks(P, r); n > bound {
+					t.Errorf("P=%d r=%d step %d: %d blocks exceed maxDigitBlocks %d", P, r, it.si, n, bound)
+				}
+				for _, i := range it.st.rel {
+					count[i]++
 				}
 			}
 			for i := 1; i < P; i++ {
@@ -79,34 +81,6 @@ func TestRadixNonUniformCorrect(t *testing.T) {
 		}{{1, 8, 1}, {4, 16, 2}, {9, 9, 3}, {16, 12, 4}, {33, 10, 5}} {
 			runNonUniform(t, alg, c.P, c.maxN, c.seed, fmt.Sprintf("two-phase-r%d", r))
 		}
-	}
-}
-
-func TestRadixTwoEqualsBinaryTime(t *testing.T) {
-	const P, maxN = 32, 64
-	run := func(alg Alltoallv) float64 {
-		w, err := mpi.NewWorld(P, mpi.WithModel(machine.Theta()), mpi.WithPhantom())
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = w.Run(func(p *mpi.Proc) error {
-			sc := make([]int, P)
-			rc := make([]int, P)
-			for d := 0; d < P; d++ {
-				sc[d] = blockSize(9, p.Rank(), d, maxN)
-				rc[d] = blockSize(9, d, p.Rank(), maxN)
-			}
-			sd, st := ContigDispls(sc)
-			rd, rt := ContigDispls(rc)
-			return alg(p, buffer.Phantom(st), sc, sd, buffer.Phantom(rt), rc, rd)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w.MaxTime()
-	}
-	if a, b := run(TwoPhaseBruck), run(TwoPhaseBruckRadix(2)); a != b {
-		t.Errorf("radix-2 two-phase (%v) must equal the binary implementation (%v)", b, a)
 	}
 }
 

@@ -142,9 +142,10 @@ func TestTraceUniformConsistency(t *testing.T) {
 	}
 }
 
-// TestTracePlanExecute checks the persistent-plan path records steps
-// too.
-func TestTracePlanExecute(t *testing.T) {
+// TestTracePersistentStart checks the persistent path records steps
+// too: a radix-2 handle's recording and frozen Starts each annotate
+// log2(8) steps.
+func TestTracePersistentStart(t *testing.T) {
 	const P = 8
 	w, err := mpi.NewWorld(P, mpi.WithTrace())
 	if err != nil {
@@ -159,22 +160,35 @@ func TestTracePlanExecute(t *testing.T) {
 		}
 		sdispls, sTotal := ContigDispls(scounts)
 		rdispls, rTotal := ContigDispls(rcounts)
-		pl, err := PlanTwoPhase(p, scounts, sdispls, rcounts, rdispls)
+		h, err := AlltoallvInit(p, 2, scounts, sdispls, rcounts, rdispls)
 		if err != nil {
 			return err
 		}
+		defer h.Free()
 		send := buffer.New(sTotal)
 		recv := buffer.New(rTotal)
-		return pl.Execute(send, recv)
+		for i := 0; i < 2; i++ {
+			if err := h.Start(send, recv); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := w.Trace()
 	if len(tr.StepStats()) != 3 { // log2(8)
-		t.Errorf("plan execute recorded %d steps, want 3", len(tr.StepStats()))
+		t.Errorf("persistent Start recorded %d steps, want 3", len(tr.StepStats()))
+	}
+	for _, s := range tr.StepStats() {
+		// Two recording messages (metadata + data) plus one frozen data
+		// message per rank per step.
+		if s.Msgs != 3*P {
+			t.Errorf("step %d: %d msgs, want %d", s.Step, s.Msgs, 3*P)
+		}
 	}
 	if tr.TotalBytes() != w.TotalBytes() {
-		t.Errorf("plan trace bytes %d != runtime %d", tr.TotalBytes(), w.TotalBytes())
+		t.Errorf("persistent trace bytes %d != runtime %d", tr.TotalBytes(), w.TotalBytes())
 	}
 }

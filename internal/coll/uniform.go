@@ -143,60 +143,10 @@ func ModifiedBruck(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error {
 // array (no initial rotation). Blocks are fetched from the send buffer
 // through the index array on their first transmission and from the
 // receive buffer afterwards, tracked by a status array. It is the
-// skeleton both non-uniform algorithms are built on.
+// skeleton both non-uniform algorithms are built on, and the r=2 case
+// of ZeroRotationBruckRadix.
 func ZeroRotationBruck(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error {
-	if err := checkUniform(p, send, n, recv); err != nil {
-		return err
-	}
-	P := p.Size()
-	rank := p.Rank()
-
-	// Rotation index array: I[s] is where slot s's initial block lives
-	// in the send buffer. Cost O(P), not O(P*n).
-	idx := make([]int, P)
-	for s := 0; s < P; s++ {
-		idx[s] = ((2*rank-s)%P + P) % P
-	}
-	p.Charge(float64(P)) // ~1ns per index entry
-
-	// Self block goes straight to its final position.
-	p.Memcpy(recv.Slice(rank*n, n), send.Slice(idx[rank]*n, n))
-	if P == 1 {
-		return nil
-	}
-
-	done := p.Phase(PhaseComm)
-	status := make([]bool, P)
-	stage := p.AllocBuf((P + 1) / 2 * n)
-	rstage := p.AllocBuf((P + 1) / 2 * n)
-	defer p.FreeBuf(stage, rstage)
-	rel := make([]int, 0, (P+1)/2)
-	for k := 0; 1<<k < P; k++ {
-		p.SetStep(k)
-		rel = sendSlots(rel, P, k)
-		for j, i := range rel {
-			s := (i + rank) % P
-			var blk buffer.Buf
-			if status[s] {
-				blk = recv.Slice(s*n, n)
-			} else {
-				blk = send.Slice(idx[s]*n, n)
-			}
-			p.Memcpy(stage.Slice(j*n, n), blk)
-		}
-		dst := (rank - 1<<k + P) % P
-		src := (rank + 1<<k) % P
-		total := len(rel) * n
-		p.SendRecv(dst, tagBruck+k, stage.Slice(0, total), src, tagBruck+k, rstage.Slice(0, total))
-		for j, i := range rel {
-			s := (i + rank) % P
-			p.Memcpy(recv.Slice(s*n, n), rstage.Slice(j*n, n))
-			status[s] = true
-		}
-	}
-	p.ClearStep()
-	done()
-	return nil
+	return zeroRotation(p, 2, send, n, recv)
 }
 
 // PairwiseAlltoall exchanges directly with every peer in P-1 rounds
