@@ -1,5 +1,9 @@
 // Command bruckload drives a running bruckd with an open-loop,
-// seeded-Poisson job stream and reports throughput and latency. The
+// seeded-Poisson job stream and reports throughput and latency. Every
+// arrival's due time is fixed up front, a bounded pool of workers sends
+// each job when it is due, and each job's latency is timed from its due
+// time, so a stalled server shows up as latency on the jobs queued
+// behind it rather than as a lower offered rate. The
 // mix mimics the paper's workloads across tenants: power-law skewed
 // layouts shaped like the TC and kCFA applications, uniform Alltoallv,
 // the Allgatherv/ReduceScatter/Allreduce families, and a phantom
@@ -27,6 +31,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bruckv"
@@ -139,6 +144,60 @@ func submit(client *http.Client, url string, req service.JobRequest) (*service.J
 	return &resp, res.StatusCode, nil
 }
 
+// loadWorkers bounds the jobs in flight (and the connections open) at
+// once. A job due while every worker is busy is sent when one frees up,
+// and that wait counts toward its latency.
+const loadWorkers = 64
+
+// arrival is one scheduled job of the open loop.
+type arrival struct {
+	due     time.Duration // offset from the start of the run
+	tp      template
+	req     service.JobRequest
+	seedIdx int
+}
+
+// schedule draws the seeded Poisson arrival stream: exponential gaps at
+// rate jobs/s for the whole duration, each arrival a random template
+// and workload seed.
+func schedule(templates []template, seed uint64, rate float64, duration time.Duration) []arrival {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	var out []arrival
+	for due := time.Duration(0); due < duration; {
+		tp := templates[rng.Intn(len(templates))]
+		seedIdx := rng.Intn(seedPoolSize)
+		req := tp.req
+		req.Seed = seed + uint64(seedIdx)
+		out = append(out, arrival{due: due, tp: tp, req: req, seedIdx: seedIdx})
+		due += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
+	}
+	return out
+}
+
+// openLoop runs every arrival on a pool of workers, each job no earlier
+// than start plus its due offset, and returns the outcomes in arrival
+// order. do receives the absolute due time to time the job from. A
+// late wake-up delays only the job it belongs to: the next job's due
+// time comes from the schedule, not from the previous wake-up.
+func openLoop(arrivals []arrival, workers int, start time.Time, do func(a arrival, due time.Time) outcome) []outcome {
+	out := make([]outcome, len(arrivals))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(arrivals); i = int(next.Add(1) - 1) {
+				due := start.Add(arrivals[i].due)
+				time.Sleep(time.Until(due))
+				out[i] = do(arrivals[i], due)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
 // latencySummary reports percentiles over a set of latencies.
 type latencySummary struct {
 	P50Ns int64 `json:"p50_ns"`
@@ -163,18 +222,18 @@ func summarize(ns []int64) latencySummary {
 
 // report is the BENCH_service.json schema.
 type report struct {
-	Addr          string                    `json:"addr"`
-	DurationS     float64                   `json:"duration_s"`
-	OfferedRateHz float64                   `json:"offered_rate_hz"`
-	Seed          uint64                    `json:"seed"`
-	Submitted     int                       `json:"jobs_submitted"`
-	Served        int                       `json:"jobs_served"`
-	Rejected      int                       `json:"jobs_rejected"`
-	Errored       int                       `json:"jobs_errored"`
-	WrongDigests  int                       `json:"wrong_digests"`
-	ThroughputHz  float64                   `json:"throughput_hz"`
-	Latency       latencySummary            `json:"latency"`
-	PerTenant     map[string]*tenantReport  `json:"per_tenant"`
+	Addr          string                   `json:"addr"`
+	DurationS     float64                  `json:"duration_s"`
+	OfferedRateHz float64                  `json:"offered_rate_hz"`
+	Seed          uint64                   `json:"seed"`
+	Submitted     int                      `json:"jobs_submitted"`
+	Served        int                      `json:"jobs_served"`
+	Rejected      int                      `json:"jobs_rejected"`
+	Errored       int                      `json:"jobs_errored"`
+	WrongDigests  int                      `json:"wrong_digests"`
+	ThroughputHz  float64                  `json:"throughput_hz"`
+	Latency       latencySummary           `json:"latency"`
+	PerTenant     map[string]*tenantReport `json:"per_tenant"`
 }
 
 type tenantReport struct {
@@ -200,52 +259,30 @@ func run() error {
 	}
 
 	url := "http://" + *addr + "/v1/jobs"
-	client := &http.Client{}
-	rng := rand.New(rand.NewSource(int64(*seed)))
-	var (
-		mu       sync.Mutex
-		outcomes []outcome
-		wg       sync.WaitGroup
-	)
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: loadWorkers,
+		MaxConnsPerHost:     loadWorkers,
+	}}
+	arrivals := schedule(templates, *seed, *rate, *duration)
+	submitted := len(arrivals)
 	start := time.Now()
-	end := start.Add(*duration)
-	submitted := 0
-	for now := start; now.Before(end); {
-		tp := templates[rng.Intn(len(templates))]
-		seedIdx := rng.Intn(seedPoolSize)
-		req := tp.req
-		req.Seed = *seed + uint64(seedIdx)
-		submitted++
-		wg.Add(1)
-		go func(tp template, req service.JobRequest, seedIdx int) {
-			defer wg.Done()
-			t0 := time.Now()
-			resp, status, err := submit(client, url, req)
-			oc := outcome{template: tp.name, tenant: req.Tenant, latencyNs: time.Since(t0).Nanoseconds()}
-			switch {
-			case err == nil:
-				oc.served = true
-				oc.virtualNs = resp.VirtualNs
-				if tp.verify && resp.Digest != oracles[tp.name][seedIdx] {
-					oc.wrong = true
-				}
-			case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
-				oc.rejected = true
-			default:
-				oc.errored = true
+	outcomes := openLoop(arrivals, loadWorkers, start, func(a arrival, due time.Time) outcome {
+		resp, status, err := submit(client, url, a.req)
+		oc := outcome{template: a.tp.name, tenant: a.req.Tenant, latencyNs: time.Since(due).Nanoseconds()}
+		switch {
+		case err == nil:
+			oc.served = true
+			oc.virtualNs = resp.VirtualNs
+			if a.tp.verify && resp.Digest != oracles[a.tp.name][a.seedIdx] {
+				oc.wrong = true
 			}
-			mu.Lock()
-			outcomes = append(outcomes, oc)
-			mu.Unlock()
-		}(tp, req, seedIdx)
-
-		// Open loop: exponential inter-arrival times, independent of
-		// service latency.
-		gap := time.Duration(rng.ExpFloat64() / *rate * float64(time.Second))
-		time.Sleep(gap)
-		now = time.Now()
-	}
-	wg.Wait()
+		case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
+			oc.rejected = true
+		default:
+			oc.errored = true
+		}
+		return oc
+	})
 	elapsed := time.Since(start)
 
 	rep := report{
