@@ -126,6 +126,7 @@ func RunMicro(cfg MicroConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer w.Close()
 	P := cfg.P
 	times := make([]float64, cfg.Iters)
 	err = w.Run(func(p *mpi.Proc) error {
@@ -209,6 +210,7 @@ func RunUniform(cfg UniformConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer w.Close()
 	times := make([]float64, cfg.Iters)
 	err = w.Run(func(p *mpi.Proc) error {
 		send := buffer.Make(cfg.P*cfg.N, !cfg.Real)
