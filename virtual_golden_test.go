@@ -12,12 +12,14 @@ import (
 	"testing"
 )
 
-// Golden virtual-timing oracle for Alltoallv. Every registered
-// algorithm, plus radix 3, the non-blocking path and persistent handles
-// after their first, second and third Start, runs across machine preset
-// × fault plan × communicator size × maximum block size on the
+// Golden virtual-timing oracle. Every registered Alltoallv algorithm,
+// plus radix 3, the non-blocking path and persistent handles after
+// their first, second and third Start, and every registered Allgatherv,
+// ReduceScatter and Allreduce algorithm, plus one non-blocking call and
+// a persistent handle after two Starts per family, runs across machine
+// preset × fault plan × communicator size × maximum block size on the
 // event executor, and each cell's virtual outcome is compared bit for
-// bit against testdata/virtual_alltoallv.golden: the run's MaxTimeNs
+// bit against testdata/virtual.golden: the run's MaxTimeNs
 // bits, an FNV-1a hash of every rank's final clock bits, TotalBytes and
 // TotalMessages. A refactor that claims to leave the LogGP cost
 // untouched must leave this file byte-identical. The event executor is
@@ -25,11 +27,11 @@ import (
 // exact, so a loaded machine cannot fail a healthy cell. Deliberate
 // timing changes rewrite the file with:
 //
-//	go test -run TestVirtualAlltoallvGolden . -update
+//	go test -run TestVirtualGolden . -update
 
-var updateVirtualGolden = flag.Bool("update", false, "rewrite testdata/virtual_alltoallv.golden")
+var updateVirtualGolden = flag.Bool("update", false, "rewrite testdata/virtual.golden")
 
-const virtualGoldenPath = "testdata/virtual_alltoallv.golden"
+const virtualGoldenPath = "testdata/virtual.golden"
 
 // goldenCase is one entry point of the grid. run performs the
 // collective on one rank with the cell's layout.
@@ -117,6 +119,135 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
+// familyCases are the Allgatherv, ReduceScatter and Allreduce entry
+// points. Their layouts are globally known: rank i's block (its
+// Allgatherv contribution and its ReduceScatter segment) is
+// goldenBlock(i, i, n) bytes, and the Allreduce vector is n bytes.
+// They skip the N=7 column to keep the oracle inside its time budget.
+func familyCases() []goldenCase {
+	counts := func(P, n int) ([]int, []int, int) {
+		c := make([]int, P)
+		for i := range c {
+			c[i] = goldenBlock(i, i, n)
+		}
+		d, total := Displacements(c)
+		return c, d, total
+	}
+	ag := func(c *Comm, l goldenLayout, run func(send []byte, scount int, recv []byte, rc, rd []int) error) error {
+		rc, rd, total := counts(c.Size(), l.n)
+		mine := rc[c.Rank()]
+		send := make([]byte, mine)
+		for i := range send {
+			send[i] = byte(c.Rank())
+		}
+		return run(send, mine, make([]byte, total), rc, rd)
+	}
+	rs := func(c *Comm, l goldenLayout, run func(send []byte, counts []int, recv []byte) error) error {
+		rc, _, total := counts(c.Size(), l.n)
+		send := make([]byte, total)
+		for i := range send {
+			send[i] = byte(c.Rank() + i)
+		}
+		return run(send, rc, make([]byte, rc[c.Rank()]))
+	}
+	ar := func(c *Comm, l goldenLayout, run func(send, recv []byte) error) error {
+		send := make([]byte, l.n)
+		for i := range send {
+			send[i] = byte(c.Rank() * (i + 1))
+		}
+		return run(send, make([]byte, l.n))
+	}
+	var cases []goldenCase
+	for _, a := range AllgathervAlgorithmList() {
+		cases = append(cases, goldenCase{"allgatherv-" + a.String(), func(c *Comm, l goldenLayout) error {
+			return ag(c, l, func(send []byte, scount int, recv []byte, rc, rd []int) error {
+				return c.AllgathervWith(a, send, scount, recv, rc, rd)
+			})
+		}})
+	}
+	for _, a := range ReduceScatterAlgorithmList() {
+		cases = append(cases, goldenCase{"reducescatter-" + a.String(), func(c *Comm, l goldenLayout) error {
+			return rs(c, l, func(send []byte, counts []int, recv []byte) error {
+				return c.ReduceScatterWith(a, OpSum, send, counts, recv)
+			})
+		}})
+	}
+	for _, a := range AllreduceAlgorithmList() {
+		cases = append(cases, goldenCase{"allreduce-" + a.String(), func(c *Comm, l goldenLayout) error {
+			return ar(c, l, func(send, recv []byte) error {
+				return c.AllreduceWith(a, OpSum, send, recv, l.n)
+			})
+		}})
+	}
+	// wait completes a non-blocking family call after overlapping it
+	// with compute, as the Alltoallv non-blocking cells do.
+	wait := func(c *Comm, op *Op, err error) error {
+		if err != nil {
+			return err
+		}
+		c.ChargeComputeNs(2000)
+		return op.Wait()
+	}
+	cases = append(cases,
+		goldenCase{"nonblocking-allgatherv-auto", func(c *Comm, l goldenLayout) error {
+			return ag(c, l, func(send []byte, scount int, recv []byte, rc, rd []int) error {
+				op, err := c.IAllgatherv(send, scount, recv, rc, rd)
+				return wait(c, op, err)
+			})
+		}},
+		goldenCase{"nonblocking-reducescatter-auto", func(c *Comm, l goldenLayout) error {
+			return rs(c, l, func(send []byte, counts []int, recv []byte) error {
+				op, err := c.IReduceScatter(OpSum, send, counts, recv)
+				return wait(c, op, err)
+			})
+		}},
+		goldenCase{"nonblocking-allreduce-auto", func(c *Comm, l goldenLayout) error {
+			return ar(c, l, func(send, recv []byte) error {
+				op, err := c.IAllreduce(OpSum, send, recv, l.n)
+				return wait(c, op, err)
+			})
+		}},
+	)
+	// startTwice runs a persistent handle's Start twice, then frees it.
+	type handle interface {
+		Start(send, recv []byte) error
+		Free()
+	}
+	startTwice := func(h handle, err error, send, recv []byte) error {
+		if err != nil {
+			return err
+		}
+		defer h.Free()
+		for i := 0; i < 2; i++ {
+			if err := h.Start(send, recv); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	cases = append(cases,
+		goldenCase{"persistent-allgatherv-start2", func(c *Comm, l goldenLayout) error {
+			return ag(c, l, func(send []byte, _ int, recv []byte, rc, rd []int) error {
+				h, err := c.AllgathervInit(rc, rd)
+				return startTwice(h, err, send, recv)
+			})
+		}},
+		goldenCase{"persistent-reducescatter-start2", func(c *Comm, l goldenLayout) error {
+			return rs(c, l, func(send []byte, counts []int, recv []byte) error {
+				h, err := c.ReduceScatterInit(OpSum, counts)
+				return startTwice(h, err, send, recv)
+			})
+		}},
+		goldenCase{"persistent-allreduce-start2", func(c *Comm, l goldenLayout) error {
+			return ar(c, l, func(send, recv []byte) error {
+				h, err := c.AllreduceInit(OpSum, l.n)
+				return startTwice(h, err, send, recv)
+			})
+		}},
+	)
+	return cases
+}
+
 // goldenFaults are the fault axes: clean, a perturbed run (stragglers
 // and jitter reorder arrivals), and a lossy run (the reliable transport
 // retransmits). Straggler counts are clamped to the world size.
@@ -180,7 +311,11 @@ func goldenSweep(mp MachineParams) (string, error) {
 				return "", err
 			}
 			for _, n := range []int{0, 7, 200} {
-				for _, gc := range goldenCases() {
+				cases := goldenCases()
+				if n != 7 {
+					cases = append(cases, familyCases()...)
+				}
+				for _, gc := range cases {
 					rec, err := goldenCell(w, n, gc)
 					if err != nil {
 						w.Close()
@@ -195,7 +330,7 @@ func goldenSweep(mp MachineParams) (string, error) {
 	return out.String(), nil
 }
 
-func TestVirtualAlltoallvGolden(t *testing.T) {
+func TestVirtualGolden(t *testing.T) {
 	// The presets are independent worlds, swept concurrently.
 	presets := []MachineParams{Theta(), Stampede(), Cori()}
 	parts := make([]string, len(presets))
