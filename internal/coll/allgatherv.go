@@ -102,10 +102,20 @@ func AllgathervBruck(p *mpi.Proc, send buffer.Buf, scount int, recv buffer.Buf, 
 	}
 	w := p.AllocBuf(total)
 	defer p.FreeBuf(w)
+	dissemAllgatherv(p, send, scount, recv, rcounts, rdispls, woff, w)
+	return nil
+}
+
+// dissemAllgatherv is the step loop of AllgathervBruck, shared with
+// PersistentAG.Start: P > 1, a nonempty layout, woff from relOffsets,
+// and a work buffer w of woff[P] bytes.
+func dissemAllgatherv(p *mpi.Proc, send buffer.Buf, scount int, recv buffer.Buf, rcounts, rdispls, woff []int, w buffer.Buf) {
+	P := p.Size()
+	rank := p.Rank()
 	p.Memcpy(w.Slice(0, scount), send.Slice(0, scount))
 
 	done := p.Phase(PhaseComm)
-	err := dissemGen(P, rank)(func(si int, st *schedStep) error {
+	dissemGen(P, rank)(func(si int, st *schedStep) {
 		p.SetStep(si)
 		cnt := len(st.rel)
 		first := st.rel[0] // == st.step: the received prefix lands here
@@ -113,13 +123,9 @@ func AllgathervBruck(p *mpi.Proc, send buffer.Buf, scount int, recv buffer.Buf, 
 		in := woff[first+cnt] - woff[first]
 		tag := tagAllgatherv + si
 		p.SendRecv(st.dst, tag, w.Slice(0, out), st.src, tag, w.Slice(woff[first], in))
-		return nil
 	})
 	p.ClearStep()
 	done()
-	if err != nil {
-		return err
-	}
 
 	done = p.Phase(PhaseFinalRotation)
 	defer done()
@@ -127,7 +133,6 @@ func AllgathervBruck(p *mpi.Proc, send buffer.Buf, scount int, recv buffer.Buf, 
 		g := (rank + j) % P
 		p.Memcpy(recv.Slice(rdispls[g], rcounts[g]), w.Slice(woff[j], rcounts[g]))
 	}
-	return nil
 }
 
 // agFold* tag the allgatherv family's remainder transfers, above any
@@ -212,7 +217,7 @@ func AllgathervDoubling(p *mpi.Proc, send buffer.Buf, scount int, recv buffer.Bu
 
 	done := p.Phase(PhaseComm)
 	owned := make([]int, 0, p2)
-	err := doublingGen(rank, p2, rem)(func(si int, st *schedStep) error {
+	doublingGen(rank, p2, rem)(func(si int, st *schedStep) {
 		p.SetStep(si)
 		owned = doublingOwned(owned, rank, st.step, p2, rem)
 		out := pack(owned)
@@ -220,13 +225,9 @@ func AllgathervDoubling(p *mpi.Proc, send buffer.Buf, scount int, recv buffer.Bu
 		tag := tagAllgatherv + si
 		p.SendRecv(st.dst, tag, stage.Slice(0, out), st.src, tag, rstage.Slice(0, in))
 		unpack(st.rel, rstage)
-		return nil
 	})
 	p.ClearStep()
 	done()
-	if err != nil {
-		return err
-	}
 
 	if rank < rem {
 		all := make([]int, P)

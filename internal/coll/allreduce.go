@@ -63,6 +63,22 @@ func AllreduceDoubling(p *mpi.Proc, op ReduceOp, send, recv buffer.Buf, n int) e
 	if P == 1 || n == 0 {
 		return nil
 	}
+	var scratch buffer.Buf
+	if rank < pow2Below(P) {
+		scratch = p.AllocBuf(n)
+		defer p.FreeBuf(scratch)
+	}
+	doublingAllreduce(p, op, recv, n, scratch)
+	return nil
+}
+
+// doublingAllreduce is the step loop of AllreduceDoubling, shared with
+// PersistentAR.Start: P > 1, n > 0, recv already holding this rank's
+// contribution, and, on the power-of-two core, an n-byte scratch
+// (remainder ranks use none).
+func doublingAllreduce(p *mpi.Proc, op ReduceOp, recv buffer.Buf, n int, scratch buffer.Buf) {
+	P := p.Size()
+	rank := p.Rank()
 	p2 := pow2Below(P)
 	rem := P - p2
 
@@ -70,34 +86,27 @@ func AllreduceDoubling(p *mpi.Proc, op ReduceOp, send, recv buffer.Buf, n int) e
 		// Remainder rank: contribute the vector, take the result back.
 		p.Send(rank-p2, arFoldIn, recv.Slice(0, n))
 		p.Recv(rank-p2, arFoldOut, recv.Slice(0, n))
-		return nil
+		return
 	}
 
-	scratch := p.AllocBuf(n)
-	defer p.FreeBuf(scratch)
 	if rank < rem {
 		p.Recv(rank+p2, arFoldIn, scratch.Slice(0, n))
 		combineBuf(p, op, recv.Slice(0, n), scratch.Slice(0, n))
 	}
 
 	done := p.Phase(PhaseComm)
-	err := doublingGen(rank, p2, 0)(func(si int, st *schedStep) error {
+	doublingGen(rank, p2, 0)(func(si int, st *schedStep) {
 		p.SetStep(si)
 		tag := tagAllreduce + si
 		p.SendRecv(st.dst, tag, recv.Slice(0, n), st.src, tag, scratch.Slice(0, n))
 		combineBuf(p, op, recv.Slice(0, n), scratch.Slice(0, n))
-		return nil
 	})
 	p.ClearStep()
 	done()
-	if err != nil {
-		return err
-	}
 
 	if rank < rem {
 		p.Send(rank+p2, arFoldOut, recv.Slice(0, n))
 	}
-	return nil
 }
 
 // arChunks returns the contiguous n/P chunking of an n-byte vector —

@@ -76,6 +76,23 @@ func ReduceScatterHalving(p *mpi.Proc, op ReduceOp, send buffer.Buf, counts []in
 	if total == 0 {
 		return nil
 	}
+	var w, stage, rstage buffer.Buf
+	if rank < pow2Below(P) {
+		w, stage, rstage = p.AllocBuf(total), p.AllocBuf(total), p.AllocBuf(total)
+		defer p.FreeBuf(w, stage, rstage)
+	}
+	halvingReduceScatter(p, op, send, counts, displs, total, recv, w, stage, rstage)
+	return nil
+}
+
+// halvingReduceScatter is the step loop of ReduceScatterHalving, shared
+// with PersistentRS.Start: P > 1, a nonempty vector of total bytes
+// packed at displs, and, on the power-of-two core, buffers w, stage and
+// rstage of total bytes each (remainder ranks use none).
+func halvingReduceScatter(p *mpi.Proc, op ReduceOp, send buffer.Buf, counts, displs []int, total int,
+	recv, w, stage, rstage buffer.Buf) {
+	P := p.Size()
+	rank := p.Rank()
 	p2 := pow2Below(P)
 	rem := P - p2
 
@@ -84,13 +101,9 @@ func ReduceScatterHalving(p *mpi.Proc, op ReduceOp, send buffer.Buf, counts []in
 		// which owns this rank's segment until the fold-out.
 		p.Send(rank-p2, rsFoldIn, send.Slice(0, total))
 		p.Recv(rank-p2, rsFoldOut, recv.Slice(0, counts[rank]))
-		return nil
+		return
 	}
 
-	w := p.AllocBuf(total)
-	stage := p.AllocBuf(total)
-	rstage := p.AllocBuf(total)
-	defer p.FreeBuf(w, stage, rstage)
 	p.Memcpy(w.Slice(0, total), send.Slice(0, total))
 	if rank < rem {
 		p.Recv(rank+p2, rsFoldIn, rstage.Slice(0, total))
@@ -124,7 +137,7 @@ func ReduceScatterHalving(p *mpi.Proc, op ReduceOp, send buffer.Buf, counts []in
 
 	done := p.Phase(PhaseComm)
 	kept := make([]int, 0, p2)
-	err = halvingGen(rank, p2, rem)(func(si int, st *schedStep) error {
+	halvingGen(rank, p2, rem)(func(si int, st *schedStep) {
 		p.SetStep(si)
 		// The kept set after this step: this rank's sub-group of size
 		// st.step (the halved group), by the same derivation the
@@ -140,19 +153,14 @@ func ReduceScatterHalving(p *mpi.Proc, op ReduceOp, send buffer.Buf, counts []in
 		tag := tagRedScat + si
 		p.SendRecv(st.dst, tag, stage.Slice(0, out), st.src, tag, rstage.Slice(0, in))
 		fold(kept)
-		return nil
 	})
 	p.ClearStep()
 	done()
-	if err != nil {
-		return err
-	}
 
 	p.Memcpy(recv.Slice(0, counts[rank]), w.Slice(displs[rank], counts[rank]))
 	if rank < rem {
 		p.Send(rank+p2, rsFoldOut, w.Slice(displs[rank+p2], counts[rank+p2]))
 	}
-	return nil
 }
 
 // ReduceScatterDirect is the linear baseline (and the conformance

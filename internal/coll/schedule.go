@@ -1,21 +1,21 @@
 package coll
 
-// The schedule engine: frozen log-P communication plans.
+// Log-P step schedules.
 //
-// A schedule is one rank's complete communication plan for a log-P
-// collective: an ordered step sequence, each step carrying its partner
-// ranks and the block set it moves. Every log-P collective executes the
-// same machinery. A generator enumerates one rank's steps (partner
-// derivation plus block lists) and the family interprets the blocks —
-// relative slots for the Bruck alltoall variants, accumulated block
-// prefixes for the allgatherv family, absolute reduction segments for
-// recursive halving — and derives its tags from the running step index
-// into its reserved tag band (see the band constants in coll.go). Both
-// the immediate algorithms (radix.go, twophase.go, allgatherv.go,
-// reducescatter.go, allreduce.go) and the persistent handles
-// (persistent.go, families_persistent.go) execute schedules; persistent
-// handles additionally freeze one so repeated exchanges pay its
-// construction once.
+// A schedule is one rank's communication plan for a log-P collective:
+// an ordered step sequence, each step carrying its partner ranks and
+// the block set it moves. A generator enumerates one rank's steps
+// (partner derivation plus block lists) and the family interprets the
+// blocks — relative slots for the Bruck alltoall variants, accumulated
+// block prefixes for the allgatherv family, absolute reduction segments
+// for recursive halving — and derives its tags from the running step
+// index into its reserved tag band (see the band constants in coll.go).
+// Each family algorithm walks its generator in one step loop
+// (allgatherv.go, reducescatter.go, allreduce.go), which its persistent
+// handle (families_persistent.go) calls with pinned buffers. Only the
+// radix Alltoallv walk is ever frozen (buildRadixSchedule): a
+// persistent Alltoallv handle replays it without the metadata exchange
+// (persistent.go).
 
 // schedStep is one step of a log-P schedule.
 type schedStep struct {
@@ -42,45 +42,26 @@ type schedStep struct {
 // stepGen enumerates the steps of one rank's schedule, in order. The
 // step passed to fn (including its rel slice) is reused between calls
 // and valid only during the call, so the family algorithms' hot path
-// performs no per-step allocation; buildSchedule deep-copies each step
-// to freeze the plan. The radix Alltoallv walk is the exception: it is
-// the closure-free radixWalk iterator below, because the callback form
-// made every variable its loop body captured escape to the heap.
-type stepGen func(fn func(si int, st *schedStep) error) error
+// performs no per-step allocation. The radix Alltoallv walk is the
+// exception: it is the closure-free radixWalk iterator below, because
+// the callback form made every variable its loop body captured escape
+// to the heap.
+type stepGen func(fn func(si int, st *schedStep))
 
-// schedule is one rank's frozen log-P plan.
+// schedule is one rank's frozen radix-r Alltoallv plan.
 type schedule struct {
-	P, rank int
-	// r is the radix for radix schedules (0 for other families).
-	r     int
-	steps []schedStep
+	rank, r int
+	steps   []schedStep
 }
 
-// add appends a deep copy of st to the schedule.
-func (sc *schedule) add(st *schedStep) {
-	s := *st
-	s.rel = append([]int(nil), st.rel...)
-	sc.steps = append(sc.steps, s)
-}
-
-// buildSchedule freezes a generator's step sequence. It is pure local
-// computation; the caller prices it (the algorithms charge the same
-// O(P) setup cost as their immediate paths).
-func buildSchedule(P, rank int, gen stepGen) *schedule {
-	sc := &schedule{P: P, rank: rank}
-	gen(func(si int, st *schedStep) error {
-		sc.add(st)
-		return nil
-	})
-	return sc
-}
-
-// buildRadixSchedule freezes the radix-r walk of one rank (see
-// buildSchedule).
+// buildRadixSchedule freezes the radix-r walk of one rank, deep-copying
+// each step. It is pure local computation; the caller prices it.
 func buildRadixSchedule(P, rank, r int) *schedule {
-	sc := &schedule{P: P, rank: rank, r: r}
+	sc := &schedule{rank: rank, r: r}
 	for it := newRadixWalk(P, rank, r, nil); it.next(); {
-		sc.add(&it.st)
+		st := it.st
+		st.rel = append([]int(nil), st.rel...)
+		sc.steps = append(sc.steps, st)
 	}
 	return sc
 }
@@ -141,7 +122,7 @@ func (it *radixWalk) next() bool {
 // (rank+j) mod P, so both sides derive every moved block's size from
 // the globally known counts without a metadata exchange.
 func dissemGen(P, rank int) stepGen {
-	return func(fn func(si int, st *schedStep) error) error {
+	return func(fn func(si int, st *schedStep)) {
 		st := schedStep{rel: make([]int, 0, (P+1)/2)}
 		si := 0
 		for m := 1; m < P; m <<= 1 {
@@ -156,12 +137,9 @@ func dissemGen(P, rank int) stepGen {
 			for j := m; j < m+cnt; j++ {
 				st.rel = append(st.rel, j)
 			}
-			if err := fn(si, &st); err != nil {
-				return err
-			}
+			fn(si, &st)
 			si++
 		}
-		return nil
 	}
 }
 
@@ -198,7 +176,7 @@ func doublingOwned(dst []int, rank, m, p2, rem int) []int {
 // and receive the full result after it (handled by the family, not the
 // schedule: those two transfers are not log-P structured).
 func doublingGen(rank, p2, rem int) stepGen {
-	return func(fn func(si int, st *schedStep) error) error {
+	return func(fn func(si int, st *schedStep)) {
 		st := schedStep{rel: make([]int, 0, p2)}
 		si := 0
 		for m := 1; m < p2; m <<= 1 {
@@ -206,12 +184,9 @@ func doublingGen(rank, p2, rem int) stepGen {
 			st.step = m
 			st.dst, st.src = partner, partner
 			st.rel = doublingOwned(st.rel, partner, m, p2, rem)
-			if err := fn(si, &st); err != nil {
-				return err
-			}
+			fn(si, &st)
 			si++
 		}
-		return nil
 	}
 }
 
@@ -239,7 +214,7 @@ func halvingSegs(dst []int, lo, g, p2, rem int) []int {
 // vector in before the core and receive their segment back after it
 // (family-handled, like doublingGen's fold).
 func halvingGen(rank, p2, rem int) stepGen {
-	return func(fn func(si int, st *schedStep) error) error {
+	return func(fn func(si int, st *schedStep)) {
 		st := schedStep{rel: make([]int, 0, p2)}
 		si := 0
 		for g := p2; g > 1; g >>= 1 {
@@ -254,11 +229,8 @@ func halvingGen(rank, p2, rem int) stepGen {
 			st.step = half
 			st.dst, st.src = partner, partner
 			st.rel = halvingSegs(st.rel, theirLo, half, p2, rem)
-			if err := fn(si, &st); err != nil {
-				return err
-			}
+			fn(si, &st)
 			si++
 		}
-		return nil
 	}
 }
