@@ -3,6 +3,7 @@ package bruckv
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -258,5 +259,34 @@ func TestPublicCloseStopsRuns(t *testing.T) {
 	w.Close() // idempotent
 	if err := w.Run(func(c *Comm) error { return nil }); err == nil {
 		t.Error("Run succeeded on a closed World")
+	}
+}
+
+// TestDroppedWorldsReleaseGoroutines checks that a World dropped without
+// Close does not keep its resident rank goroutines: once the worlds are
+// unreachable, the garbage collector's finalizer closes them and the
+// goroutine count returns to where it started.
+func TestDroppedWorldsReleaseGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		w, err := NewWorld(32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Run(func(c *Comm) error { c.Barrier(); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		n := runtime.NumGoroutine()
+		if n <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive after dropping 10 worlds of 32 ranks, %d before", n, base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"time"
 
@@ -391,6 +392,10 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 	if cfg.tuning != nil {
 		nw.tuning = cfg.tuning.table
 	}
+	// Nothing inside the session refers back to this wrapper, so unlike
+	// the session's World (which its ranks point at) it is finalized
+	// once dropped.
+	runtime.SetFinalizer(nw, (*World).Close)
 	return nw, nil
 }
 
@@ -418,10 +423,14 @@ func (w *World) RunContext(ctx context.Context, fn func(c *Comm) error) error {
 }
 
 // Close releases the world's resident rank goroutines; further Runs
-// fail. Closing is idempotent and optional — dropping the last
-// reference to a World has the same effect — but deterministic release
-// matters when many worlds are created in sequence.
-func (w *World) Close() { w.w.Close() }
+// fail. Closing is idempotent. A World dropped without Close releases
+// them when the garbage collector finalizes it, which happens at no
+// predictable time, so close worlds explicitly when many are created in
+// sequence.
+func (w *World) Close() {
+	runtime.SetFinalizer(w, nil)
+	w.w.Close()
+}
 
 // MaxTimeNs returns the maximum virtual time over all ranks of the last
 // Run, in nanoseconds. It is Stats().MaxTimeNs.

@@ -52,6 +52,7 @@ func main() {
 			}
 			return err
 		})
+		w.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "kcfabench: %v\n", err)
 			os.Exit(1)

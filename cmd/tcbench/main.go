@@ -77,6 +77,7 @@ func main() {
 					}
 					return err
 				})
+				w.Close()
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "tcbench: %v\n", err)
 					os.Exit(1)

@@ -37,6 +37,7 @@ func main() {
 			}
 			return err
 		})
+		w.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
