@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
+	"time"
 
 	"bruckv/internal/buffer"
 	"bruckv/internal/coll"
@@ -145,7 +147,7 @@ type RunAmortization struct {
 	ResidentNsPerRun     float64
 	ResidentAllocsPerRun float64
 	// FreshNsPerRun / FreshAllocsPerRun are the same averages when each
-	// Run gets its own world.
+	// Run gets its own world, counting NewWorld and Close with the Run.
 	FreshNsPerRun     float64
 	FreshAllocsPerRun float64
 }
@@ -156,7 +158,11 @@ func (a RunAmortization) SetupNsSaved() float64 { return a.FreshNsPerRun - a.Res
 
 // measureAmortization times a barrier-only Run body both ways. Phantom
 // payloads and the caller's model keep the collective itself as close
-// to free as the runtime allows, so the difference is run setup.
+// to free as the runtime allows, so the difference is run setup. A
+// fresh world's cost spans NewWorld, its Run and Close: the session
+// spawn it pays happens before the Run's own RunStats clock starts.
+// Resident and fresh samples alternate, so a slow spell on the host
+// lands on both sides.
 func measureAmortization(o Options, P, runs int) (*RunAmortization, error) {
 	am := &RunAmortization{P: P, Runs: runs}
 	body := func(p *mpi.Proc) error { p.Barrier(); return nil }
@@ -164,36 +170,48 @@ func measureAmortization(o Options, P, runs int) (*RunAmortization, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer w.Close()
 	if err := w.Run(body); err != nil { // warm-up: pays the session spawn
 		return nil, err
 	}
-	for i := 0; i < runs; i++ {
-		if err := w.Run(body); err != nil {
-			return nil, err
-		}
-		st := w.RunStats()
-		am.ResidentNsPerRun += float64(st.WallNs)
-		am.ResidentAllocsPerRun += float64(st.Mallocs)
-	}
-	w.Close()
-	am.ResidentNsPerRun /= float64(runs)
-	am.ResidentAllocsPerRun /= float64(runs)
-	for i := 0; i < runs; i++ {
+	resident := func() error { return w.Run(body) }
+	fresh := func() error {
 		fw, err := mpi.NewWorld(P, mpi.WithModel(o.Model), mpi.WithPhantom())
+		if err != nil {
+			return err
+		}
+		defer fw.Close()
+		return fw.Run(body)
+	}
+	for i := 0; i < runs; i++ {
+		ns, mallocs, err := hostCost(resident)
 		if err != nil {
 			return nil, err
 		}
-		if err := fw.Run(body); err != nil {
+		am.ResidentNsPerRun += ns
+		am.ResidentAllocsPerRun += mallocs
+		if ns, mallocs, err = hostCost(fresh); err != nil {
 			return nil, err
 		}
-		st := fw.RunStats()
-		am.FreshNsPerRun += float64(st.WallNs)
-		am.FreshAllocsPerRun += float64(st.Mallocs)
-		fw.Close()
+		am.FreshNsPerRun += ns
+		am.FreshAllocsPerRun += mallocs
 	}
+	am.ResidentNsPerRun /= float64(runs)
+	am.ResidentAllocsPerRun /= float64(runs)
 	am.FreshNsPerRun /= float64(runs)
 	am.FreshAllocsPerRun /= float64(runs)
 	return am, nil
+}
+
+// hostCost returns the host wall time and heap allocation count of f.
+func hostCost(f func() error) (ns, mallocs float64, err error) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	err = f()
+	ns = float64(time.Since(start))
+	runtime.ReadMemStats(&m1)
+	return ns, float64(m1.Mallocs - m0.Mallocs), err
 }
 
 // measurePersistent runs Iters fixed-layout exchanges through a
