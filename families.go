@@ -9,15 +9,16 @@ import (
 )
 
 // The collective families beyond all-to-all: Allgatherv, ReduceScatter,
-// and Allreduce, all running on the same frozen-schedule engine as the
-// Bruck all-to-all variants. Each family offers a blocking call, a
+// and Allreduce, all walking the same log-P step schedules as the Bruck
+// all-to-all variants. Each family offers a blocking call, a
 // With-variant pinning the algorithm, a nonblocking I-form returning an
 // Op (completable alongside IAlltoallv Ops via Waitall), and a
-// persistent Init/Start handle that freezes the schedule once and
-// replays it. Unlike Alltoallv, every family's layout is part of the
-// call contract on all ranks — counts are globally known — so no
-// metadata ever travels and the Auto selectors decide locally from the
-// machine model at zero communication cost.
+// persistent Init/Start handle that pays the setup cost and pins the
+// scratch once, then runs the immediate algorithm on every Start.
+// Unlike Alltoallv, every family's layout is part of the call contract
+// on all ranks — counts are globally known — so no metadata ever
+// travels and the Auto selectors decide locally from the machine model
+// at zero communication cost.
 
 // ReduceOp is the element-wise reduction operator of ReduceScatter and
 // Allreduce. Operators work bytewise — associative and commutative, so
@@ -268,9 +269,10 @@ func (c *Comm) IAllgathervWith(alg AllgathervAlgorithm, send []byte, scount int,
 }
 
 // PersistentAllgatherv is a reusable Allgatherv handle with a frozen
-// layout, returned by AllgathervInit: init freezes the dissemination
-// schedule, per-step byte spans, and pinned staging once; every Start
-// replays them, byte-exact with AllgathervWith(AGBruck, ...).
+// layout, returned by AllgathervInit: init validates the layout, pays
+// the setup cost and pins the work buffer once; every Start runs the
+// dissemination allgatherv on it, byte-exact with
+// AllgathervWith(AGBruck, ...).
 type PersistentAllgatherv struct {
 	c      *Comm
 	h      *coll.PersistentAG
@@ -378,9 +380,9 @@ func (c *Comm) IReduceScatterWith(alg ReduceScatterAlgorithm, op ReduceOp,
 }
 
 // PersistentReduceScatter is a reusable ReduceScatter handle with a
-// frozen (op, counts), returned by ReduceScatterInit: init freezes the
-// recursive-halving schedule, per-step segment sets, and pinned
-// staging once; every Start replays them, byte-exact with
+// frozen (op, counts), returned by ReduceScatterInit: init validates
+// the layout, pays the setup cost and pins the staging once; every
+// Start runs recursive halving on it, byte-exact with
 // ReduceScatterWith(RSHalving, ...).
 type PersistentReduceScatter struct {
 	c    *Comm
@@ -483,8 +485,8 @@ func (c *Comm) IAllreduceWith(alg AllreduceAlgorithm, op ReduceOp, send, recv []
 // PersistentAllreduce is a reusable Allreduce handle with a frozen
 // (op, n), returned by AllreduceInit: init fixes the algorithm — the
 // machine model's doubling/rsag choice for the frozen size — and pins
-// its scratch; every Start replays it, byte-exact with the frozen
-// algorithm's immediate form.
+// its scratch; every Start runs that algorithm on it, byte-exact with
+// its immediate form.
 type PersistentAllreduce struct {
 	c *Comm
 	h *coll.PersistentAR
