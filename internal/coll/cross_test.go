@@ -1,6 +1,7 @@
 package coll
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -24,7 +25,7 @@ func TestQuickUniformAgree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ok := true
+		defer w.Close()
 		err = w.Run(func(p *mpi.Proc) error {
 			send := buffer.New(P * n)
 			send.FillPattern(seed + uint64(p.Rank()))
@@ -38,12 +39,15 @@ func TestQuickUniformAgree(t *testing.T) {
 					return err
 				}
 				if !buffer.Equal(got, ref) {
-					ok = false
+					return fmt.Errorf("rank %d: %s disagrees with the naive reference", p.Rank(), name)
 				}
 			}
 			return nil
 		})
-		return err == nil && ok
+		if err != nil {
+			t.Logf("seed=%#x P=%d: %v", seed, P, err)
+		}
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
@@ -63,7 +67,7 @@ func TestQuickNonUniformAgree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ok := true
+		defer w.Close()
 		err = w.Run(func(p *mpi.Proc) error {
 			send, sc, sd, rc, rd, rTotal := vSetup(p.Rank(), P, maxN, seed)
 			ref := buffer.New(rTotal)
@@ -76,12 +80,15 @@ func TestQuickNonUniformAgree(t *testing.T) {
 					return err
 				}
 				if !buffer.Equal(got, ref) {
-					ok = false
+					return fmt.Errorf("rank %d: %s disagrees with the naive reference", p.Rank(), name)
 				}
 			}
 			return nil
 		})
-		return err == nil && ok
+		if err != nil {
+			t.Logf("seed=%#x P=%d: %v", seed, P, err)
+		}
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -273,5 +274,64 @@ func TestNegativeTagInReport(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("report lost the negative collective tag:\n%s", de)
+	}
+}
+
+// TestSendUncountsSleepingReceiver pins the exact accounting behind the
+// deadlock verdict: once Send returns, the receiver it reached no longer
+// counts as asleep, even if its goroutine has not been scheduled yet. A
+// detector that counted it until it ran would see "every rank blocked"
+// when the sender then blocks, and only timing could tell it otherwise.
+func TestSendUncountsSleepingReceiver(t *testing.T) {
+	w := zeroWorld(t, 2)
+	err := w.Run(func(p *Proc) error {
+		b := buffer.New(8)
+		if p.Rank() == 0 {
+			p.Recv(1, 1, b)
+			p.Send(1, 2, b)
+			return nil
+		}
+		peer := p.w.procs[0]
+		for {
+			peer.box.mu.Lock()
+			asleep := peer.box.sleeping
+			peer.box.mu.Unlock()
+			if asleep {
+				break
+			}
+			runtime.Gosched()
+		}
+		p.Send(0, 1, b)
+		if asleep := w.idle.Load() & (idleFinished - 1); asleep != 0 {
+			return errors.New("receiver still counted as asleep after Send returned")
+		}
+		p.Recv(0, 2, b)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNoFalseDeadlockOversubscribed runs blocking exchanges with every
+// rank goroutine sharing one processor, the setting in which woken
+// ranks wait longest to be scheduled. A healthy exchange must never be
+// reported as a deadlock, however long a wake-up takes.
+func TestNoFalseDeadlockOversubscribed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w := zeroWorld(t, 32)
+	for i := 0; i < 100; i++ {
+		err := w.Run(func(p *Proc) error {
+			b := buffer.New(8)
+			n := p.Size()
+			for s := 1; s < n; s <<= 1 {
+				p.SendRecv((p.Rank()+s)%n, s, b, (p.Rank()-s+n)%n, s, b)
+			}
+			p.Barrier()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
 	}
 }

@@ -15,8 +15,7 @@ import (
 // determinism of the virtual-time pricing to make timings independent
 // of that interleaving. That is simple and fast at small P, but at
 // mega-scale it means hundreds of thousands of simultaneously runnable
-// goroutines, sync.Cond wake-ups per message, and a heuristic
-// (yield-and-settle) deadlock detector.
+// goroutines and sync.Cond wake-ups per message.
 //
 // The event backend (WithExecutor(ExecutorEvents)) replaces the free
 // interleaving with a discrete-event scheduler: ranks ready to run sit
@@ -37,9 +36,9 @@ import (
 // pins that equivalence. What changes is the host-side execution:
 // bounded runnable set, no condition-variable broadcasts, bounded
 // in-flight messages per inbox (evInboxCap, with senders parking on
-// credit), and exact instead of heuristic deadlock detection — the
-// run is wedged precisely when no rank is running, none is ready, and
-// unfinished ranks remain.
+// credit), and deadlock detection read off the scheduler's own state —
+// the run is wedged precisely when no rank is running, none is ready,
+// and unfinished ranks remain.
 
 // Executor selects a World's execution backend.
 type Executor int
@@ -218,7 +217,6 @@ func (s *evSched) launch(fn func(p *Proc) error, errs []error, wg *sync.WaitGrou
 		}
 		if s.w.failed != nil && s.w.failed[st.grank] {
 			st.evState = evDone
-			s.w.finished.Add(1)
 			wg.Done()
 			continue
 		}
@@ -276,7 +274,6 @@ func (s *evSched) finish(st *procState) {
 	stalled := s.stalledLocked()
 	gen := s.gen
 	s.mu.Unlock()
-	s.w.finished.Add(1)
 	if stalled {
 		s.escalate(gen)
 	}
@@ -298,9 +295,8 @@ func (s *evSched) release(st *procState) {
 }
 
 // stalledLocked reports whether the machine has wedged: nothing
-// running, nothing ready, unfinished ranks remaining. Unlike the
-// goroutine backend's yield-and-settle heuristic this is exact — the
-// scheduler knows every rank's state.
+// running, nothing ready, unfinished ranks remaining. The scheduler
+// knows every rank's state, so this is exact.
 func (s *evSched) stalledLocked() bool {
 	return s.running == 0 && len(s.heap) == 0 && s.unfinished > 0
 }

@@ -190,6 +190,11 @@ type inbox struct {
 	// unpark's state check skips them — and the list is cleared by
 	// reset between runs.
 	parked []*procState
+	// sleeping is set while the owning rank is parked in cond.Wait and
+	// counted as asleep in World.idle (goroutine backend); the first
+	// sender to enqueue, or the owner on any other wake-up, clears it
+	// and uncounts the rank.
+	sleeping bool
 }
 
 // noteConsumed records that n queued messages were taken out of the

@@ -124,10 +124,13 @@ func (p *Proc) sendf(dst, tag int, b buffer.Buf, f float64) {
 	})
 	dp.box.arr = append(dp.box.arr, key)
 	dp.box.qn++
-	p.w.activity.Add(1)
 	if s := p.w.ev; s != nil {
 		s.wake(dp.procState)
 	} else {
+		if dp.box.sleeping {
+			dp.box.sleeping = false
+			p.w.idle.Add(-1)
+		}
 		dp.box.cond.Broadcast()
 	}
 	dp.box.mu.Unlock()
@@ -244,7 +247,6 @@ func (p *Proc) matchBlocking(ctx uint32, src, tag int) message {
 				q.head = 0
 			}
 			p.drained(1)
-			p.w.activity.Add(1)
 			return m
 		}
 		if p.w.dead.Load() {
@@ -263,20 +265,32 @@ func (p *Proc) matchBlocking(ctx uint32, src, tag int) message {
 			p.clearWait()
 			continue
 		}
-		if p.w.blocked.Add(1)+p.w.finished.Load() == int32(p.w.size) {
-			p.box.mu.Unlock()
-			p.w.suspectDeadlock()
-			p.box.mu.Lock()
-			p.w.blocked.Add(-1)
-			if p.w.dead.Load() {
-				panic(runAbort{p.rank})
-			}
-			p.clearWait()
-			continue
-		}
-		p.box.cond.Wait()
-		p.w.blocked.Add(-1)
+		p.sleepLocked()
 		p.clearWait()
+	}
+}
+
+// sleepLocked parks the rank (goroutine backend) until a sender
+// enqueues to its inbox or the run aborts. It must run under box.mu,
+// after setWait. While parked the rank counts as asleep in World.idle,
+// and the first sender to reach it uncounts it under the same lock, so
+// a rank that has been sent a message never counts as blocked, whether
+// or not it has been scheduled yet. "Every live rank asleep or
+// finished" is then exact and stable: the rank whose sleep completes
+// it declares the deadlock at once.
+func (p *Proc) sleepLocked() {
+	p.box.sleeping = true
+	if p.w.quiescent(p.w.idle.Add(1)) {
+		p.box.mu.Unlock()
+		p.w.declareDeadlock()
+		p.box.mu.Lock()
+	}
+	for p.box.sleeping && !p.w.dead.Load() {
+		p.box.cond.Wait()
+	}
+	if p.box.sleeping {
+		p.box.sleeping = false
+		p.w.idle.Add(-1)
 	}
 }
 
@@ -446,7 +460,6 @@ func (p *Proc) waitallTake(key matchKey) bool {
 	}
 	p.wOutstanding -= n
 	p.drained(n)
-	p.w.activity.Add(int64(n))
 	return true
 }
 
@@ -537,20 +550,7 @@ func (p *Proc) Waitall(rs []*Request) error {
 			p.clearWait()
 			continue
 		}
-		if p.w.blocked.Add(1)+p.w.finished.Load() == int32(p.w.size) {
-			p.box.mu.Unlock()
-			p.w.suspectDeadlock()
-			p.box.mu.Lock()
-			p.w.blocked.Add(-1)
-			if p.w.dead.Load() {
-				p.box.mu.Unlock()
-				panic(runAbort{p.rank})
-			}
-			p.clearWait()
-			continue
-		}
-		p.box.cond.Wait()
-		p.w.blocked.Add(-1)
+		p.sleepLocked()
 		p.clearWait()
 	}
 	p.box.mu.Unlock()
