@@ -16,7 +16,9 @@ import (
 // plus radix 3, the non-blocking path and persistent handles after
 // their first, second and third Start, and every registered Allgatherv,
 // ReduceScatter and Allreduce algorithm, plus one non-blocking call and
-// a persistent handle after two Starts per family, runs across machine
+// a persistent handle after two Starts per family, and the uniform
+// zero-rotation Alltoall (with the five other binary Bruck variants in
+// the clean N=200 cells), runs across machine
 // preset × fault plan × communicator size × maximum block size on the
 // event executor, and each cell's virtual outcome is compared bit for
 // bit against testdata/virtual.golden: the run's MaxTimeNs
@@ -112,10 +114,26 @@ func goldenCases() []goldenCase {
 		cases = append(cases, persistent(TwoPhaseBruck, starts))
 	}
 	cases = append(cases, persistent(TwoPhaseRadix(3), 1), persistent(TwoPhaseRadix(3), 2))
-	cases = append(cases, goldenCase{"uniform-zerorotation", func(c *Comm, l goldenLayout) error {
+	cases = append(cases, uniformCase(ZeroRotation))
+	return cases
+}
+
+// uniformCase runs one uniform Alltoall variant with block size N.
+func uniformCase(a UniformAlgorithm) goldenCase {
+	return goldenCase{"uniform-" + a.String(), func(c *Comm, l goldenLayout) error {
 		buf := make([]byte, 2*c.Size()*l.n)
-		return c.AlltoallWith(ZeroRotation, buf[:c.Size()*l.n], l.n, buf[c.Size()*l.n:])
-	}})
+		return c.AlltoallWith(a, buf[:c.Size()*l.n], l.n, buf[c.Size()*l.n:])
+	}}
+}
+
+// uniformBruckCases are the binary Bruck variants beside zero-rotation.
+// Their step loops never read the fault layer, so they run only in the
+// clean N=200 cells, which keeps the oracle inside its time budget.
+func uniformBruckCases() []goldenCase {
+	var cases []goldenCase
+	for _, a := range []UniformAlgorithm{BasicBruckAlg, ModifiedBruckAlg, BasicBruckDT, ModifiedBruckDT, ZeroCopyBruckDT} {
+		cases = append(cases, uniformCase(a))
+	}
 	return cases
 }
 
@@ -314,6 +332,9 @@ func goldenSweep(mp MachineParams) (string, error) {
 				cases := goldenCases()
 				if n != 7 {
 					cases = append(cases, familyCases()...)
+				}
+				if f.plan == nil && n == 200 {
+					cases = append(cases, uniformBruckCases()...)
 				}
 				for _, gc := range cases {
 					rec, err := goldenCell(w, n, gc)
