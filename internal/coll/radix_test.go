@@ -21,16 +21,6 @@ func TestDigitSlots(t *testing.T) {
 	if fmt.Sprint(got) != "[6 7 8]" {
 		t.Errorf("digitSlots(9,3,1,2) = %v", got)
 	}
-	// Radix 2 matches the binary slot enumeration.
-	for _, P := range []int{5, 8, 13} {
-		for k := 0; 1<<k < P; k++ {
-			a := fmt.Sprint(sendSlots(nil, P, k))
-			b := fmt.Sprint(digitSlots(nil, P, 2, k, 1))
-			if a != b {
-				t.Errorf("P=%d k=%d: binary %s vs radix-2 %s", P, k, a, b)
-			}
-		}
-	}
 }
 
 func TestDigitSlotsPartition(t *testing.T) {

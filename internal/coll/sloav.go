@@ -75,12 +75,10 @@ func SLOAV(p *mpi.Proc, send buffer.Buf, scounts, sdispls []int,
 	finalSize[rank] = -1 // self block already placed
 
 	done := p.Phase(PhaseComm)
-	rel := make([]int, 0, (P+1)/2)
-	for k := 0; 1<<k < P; k++ {
-		p.SetStep(k)
-		rel = sendSlots(rel, P, k)
-		dst := (rank - 1<<k + P) % P
-		src := (rank + 1<<k) % P
+	for it := newRadixWalk(P, rank, 2, make([]int, 0, (P+1)/2)); it.next(); {
+		p.SetStep(it.si)
+		rel, dst, src := it.st.rel, it.st.dst, it.st.src
+		htag, dtag := tagSloav+2*it.si, tagSloav+2*it.si+1
 
 		// Build the block-size array and pack the data into the combined
 		// buffer; inefficiency 1 (coupling metadata with data) costs an
@@ -108,10 +106,10 @@ func SLOAV(p *mpi.Proc, send buffer.Buf, scounts, sdispls []int,
 		// Exchange the combined-buffer length, then the combined buffer
 		// (size array + blocks: 4*len(rel)+off bytes on the wire).
 		hdr.PutUint32(0, uint32(off))
-		p.SendRecv(dst, tagSloav+2*k, hdr.Slice(0, 4+4*len(rel)), src, tagSloav+2*k, rhdr.Slice(0, 4+4*len(rel)))
+		p.SendRecv(dst, htag, hdr.Slice(0, 4+4*len(rel)), src, htag, rhdr.Slice(0, 4+4*len(rel)))
 		rtotal := int(rhdr.Uint32(0))
-		p.Send(dst, tagSloav+2*k+1, combined.Slice(0, off))
-		p.Recv(src, tagSloav+2*k+1, rcombined.Slice(0, rtotal))
+		p.Send(dst, dtag, combined.Slice(0, off))
+		p.Recv(src, dtag, rcombined.Slice(0, rtotal))
 
 		// Unpack: split the metadata back out (inefficiency 1: the extra
 		// unpack), then scatter blocks into the per-block temporaries.
@@ -131,7 +129,7 @@ func SLOAV(p *mpi.Proc, send buffer.Buf, scounts, sdispls []int,
 			roff += sz
 			size[s] = sz
 			status[s] = true
-			if i < 2<<k { // last hop: remember for the final scan
+			if j < it.st.final { // last hop: remember for the final scan
 				finalSize[s] = sz
 			}
 		}

@@ -8,24 +8,6 @@ import (
 // Uniform Bruck variants with explicit memory management (memcpy-based
 // packing). The derived-datatype variants live in uniform_dt.go.
 
-// sendSlots returns, for Bruck step k of a P-rank exchange, the relative
-// indices i in [1, P) whose k-th bit is set — the blocks transmitted at
-// that step — in increasing order. The slice is appended to dst to allow
-// reuse.
-func sendSlots(dst []int, P, k int) []int {
-	dst = dst[:0]
-	for i := 1 << k; i < P; i += 2 << k {
-		hi := i + 1<<k
-		if hi > P {
-			hi = P
-		}
-		for j := i; j < hi; j++ {
-			dst = append(dst, j)
-		}
-	}
-	return dst
-}
-
 // BasicBruck is the classic three-phase Bruck algorithm: an initial
 // rotation, ceil(log2 P) store-and-forward exchange steps, and a final
 // inverse rotation (Figure 1a of the paper).
@@ -52,25 +34,25 @@ func BasicBruck(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error {
 	}
 	done()
 
-	// Phase 2: log-time exchange. Blocks whose k-th bit is set travel
-	// distance 2^k; received blocks land in the same slots and may be
-	// forwarded at later steps.
+	// Phase 2: log-time exchange over the binary walk. Blocks whose k-th
+	// bit is set travel distance 2^k; received blocks land in the same
+	// slots and may be forwarded at later steps. The forward rotation
+	// makes data flow towards higher ranks, so this sends to the walk's
+	// src and receives from its dst.
 	done = p.Phase(PhaseComm)
 	stage := p.AllocBuf((P + 1) / 2 * n)
 	rstage := p.AllocBuf((P + 1) / 2 * n)
 	defer p.FreeBuf(stage, rstage)
-	slots := make([]int, 0, (P+1)/2)
-	for k := 0; 1<<k < P; k++ {
-		p.SetStep(k)
-		slots = sendSlots(slots, P, k)
-		for j, s := range slots {
+	for it := newRadixWalk(P, rank, 2, make([]int, 0, (P+1)/2)); it.next(); {
+		sub := &it.st
+		p.SetStep(it.si)
+		for j, s := range sub.rel {
 			p.Memcpy(stage.Slice(j*n, n), work.Slice(s*n, n))
 		}
-		dst := (rank + 1<<k) % P
-		src := (rank - 1<<k + P) % P
-		total := len(slots) * n
-		p.SendRecv(dst, tagBruck+k, stage.Slice(0, total), src, tagBruck+k, rstage.Slice(0, total))
-		for j, s := range slots {
+		total := len(sub.rel) * n
+		tag := tagBruck + it.si
+		p.SendRecv(sub.src, tag, stage.Slice(0, total), sub.dst, tag, rstage.Slice(0, total))
+		for j, s := range sub.rel {
 			p.Memcpy(work.Slice(s*n, n), rstage.Slice(j*n, n))
 		}
 	}
@@ -110,25 +92,24 @@ func ModifiedBruck(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error {
 	}
 	done()
 
-	// Phase 2: send to rank-2^k, receive from rank+2^k; slot for relative
-	// index i is (i+rank) mod P. No final rotation: recv ends correct.
+	// Phase 2: the binary walk sends to rank-2^k and receives from
+	// rank+2^k; slot for relative index i is (i+rank) mod P. No final
+	// rotation: recv ends correct.
 	done = p.Phase(PhaseComm)
 	stage := p.AllocBuf((P + 1) / 2 * n)
 	rstage := p.AllocBuf((P + 1) / 2 * n)
 	defer p.FreeBuf(stage, rstage)
-	rel := make([]int, 0, (P+1)/2)
-	for k := 0; 1<<k < P; k++ {
-		p.SetStep(k)
-		rel = sendSlots(rel, P, k)
-		for j, i := range rel {
+	for it := newRadixWalk(P, rank, 2, make([]int, 0, (P+1)/2)); it.next(); {
+		sub := &it.st
+		p.SetStep(it.si)
+		for j, i := range sub.rel {
 			s := (i + rank) % P
 			p.Memcpy(stage.Slice(j*n, n), recv.Slice(s*n, n))
 		}
-		dst := (rank - 1<<k + P) % P
-		src := (rank + 1<<k) % P
-		total := len(rel) * n
-		p.SendRecv(dst, tagBruck+k, stage.Slice(0, total), src, tagBruck+k, rstage.Slice(0, total))
-		for j, i := range rel {
+		total := len(sub.rel) * n
+		tag := tagBruck + it.si
+		p.SendRecv(sub.dst, tag, stage.Slice(0, total), sub.src, tag, rstage.Slice(0, total))
+		for j, i := range sub.rel {
 			s := (i + rank) % P
 			p.Memcpy(recv.Slice(s*n, n), rstage.Slice(j*n, n))
 		}

@@ -36,18 +36,18 @@ func BasicBruckDT(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error {
 	}
 	done()
 
+	// As in BasicBruck, data flows the other way round the walk: send
+	// to its src, receive from its dst.
 	done = p.Phase(PhaseComm)
-	slots := make([]int, 0, (P+1)/2)
-	for k := 0; 1<<k < P; k++ {
-		p.SetStep(k)
-		slots = sendSlots(slots, P, k)
+	for it := newRadixWalk(P, rank, 2, make([]int, 0, (P+1)/2)); it.next(); {
+		sub := &it.st
+		p.SetStep(it.si)
 		st := datatype.Type{}
-		for _, s := range slots {
+		for _, s := range sub.rel {
 			st = st.Append(work.Slice(s*n, n))
 		}
-		dst := (rank + 1<<k) % P
-		src := (rank - 1<<k + P) % P
-		datatype.SendRecv(p, dst, tagBruck+k, st, src, tagBruck+k, st)
+		tag := tagBruck + it.si
+		datatype.SendRecv(p, sub.src, tag, st, sub.dst, tag, st)
 	}
 	p.ClearStep()
 	done()
@@ -82,18 +82,16 @@ func ModifiedBruckDT(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error
 	done()
 
 	done = p.Phase(PhaseComm)
-	rel := make([]int, 0, (P+1)/2)
-	for k := 0; 1<<k < P; k++ {
-		p.SetStep(k)
-		rel = sendSlots(rel, P, k)
+	for it := newRadixWalk(P, rank, 2, make([]int, 0, (P+1)/2)); it.next(); {
+		sub := &it.st
+		p.SetStep(it.si)
 		st := datatype.Type{}
-		for _, i := range rel {
+		for _, i := range sub.rel {
 			s := (i + rank) % P
 			st = st.Append(recv.Slice(s*n, n))
 		}
-		dst := (rank - 1<<k + P) % P
-		src := (rank + 1<<k) % P
-		datatype.SendRecv(p, dst, tagBruck+k, st, src, tagBruck+k, st)
+		tag := tagBruck + it.si
+		datatype.SendRecv(p, sub.dst, tag, st, sub.src, tag, st)
 	}
 	p.ClearStep()
 	done()
@@ -149,24 +147,22 @@ func ZeroCopyBruckDT(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error
 	done()
 
 	done = p.Phase(PhaseComm)
-	rel := make([]int, 0, (P+1)/2)
-	for k := 0; 1<<k < P; k++ {
-		p.SetStep(k)
-		rel = sendSlots(rel, P, k)
+	for it := newRadixWalk(P, rank, 2, make([]int, 0, (P+1)/2)); it.next(); {
+		sub := &it.st
+		p.SetStep(it.si)
 		st := datatype.Type{}
 		rt := datatype.Type{}
-		for _, i := range rel {
+		for _, i := range sub.rel {
 			s := (i + rank) % P
-			j := bits.OnesCount(uint(i) & (1<<(k+1) - 1)) // this is transfer number j for slot s
+			j := bits.OnesCount(uint(i & (2*sub.step - 1))) // this is transfer number j for slot s
 			st = st.Append(slotBuf(i, j-1).Slice(s*n, n))
 			rt = rt.Append(slotBuf(i, j).Slice(s*n, n))
 		}
 		// Fresh struct datatypes every step: pay creation for both.
 		datatype.ChargeCreate(p, st)
 		datatype.ChargeCreate(p, rt)
-		dst := (rank - 1<<k + P) % P
-		src := (rank + 1<<k) % P
-		datatype.SendRecv(p, dst, tagBruck+k, st, src, tagBruck+k, rt)
+		tag := tagBruck + it.si
+		datatype.SendRecv(p, sub.dst, tag, st, sub.src, tag, rt)
 	}
 	p.ClearStep()
 	done()

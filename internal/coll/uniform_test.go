@@ -214,20 +214,19 @@ func TestUniformTimingDeterministic(t *testing.T) {
 }
 
 func TestSendSlots(t *testing.T) {
-	got := sendSlots(nil, 8, 0)
-	want := []int{1, 3, 5, 7}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("sendSlots(8,0) = %v, want %v", got, want)
-	}
-	got = sendSlots(nil, 8, 1)
-	want = []int{2, 3, 6, 7}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("sendSlots(8,1) = %v, want %v", got, want)
-	}
-	got = sendSlots(nil, 6, 2)
-	want = []int{4, 5}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("sendSlots(6,2) = %v, want %v", got, want)
+	// The blocks a binary Bruck step k sends are the radix-2 digit
+	// slots of position k.
+	for _, c := range []struct {
+		P, k int
+		want []int
+	}{
+		{8, 0, []int{1, 3, 5, 7}},
+		{8, 1, []int{2, 3, 6, 7}},
+		{6, 2, []int{4, 5}},
+	} {
+		if got := digitSlots(nil, c.P, 2, c.k, 1); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("digitSlots(%d,2,%d,1) = %v, want %v", c.P, c.k, got, c.want)
+		}
 	}
 }
 
