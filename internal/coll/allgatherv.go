@@ -14,10 +14,10 @@ import (
 // rank knows the full rcounts/rdispls layout up front, so — unlike the
 // non-uniform all-to-all — no metadata ever travels: both sides of
 // every exchange derive the moved byte counts from the globally known
-// counts. Two log-P algorithms run on the schedule engine
-// (schedule.go): Bruck-style dissemination (dissemGen), whose steps
-// move contiguous work-buffer prefixes and need no packing, and
-// recursive doubling (doublingGen), whose steps land blocks directly at
+// counts. Two log-P algorithms each run one plain step loop:
+// Bruck-style dissemination (dissemAllgatherv), whose steps move
+// contiguous work-buffer prefixes and need no packing, and recursive
+// doubling (AllgathervDoubling), whose steps land blocks directly at
 // their final displacements and need no final scatter. A linear
 // baseline (one message per peer) completes the family.
 
@@ -108,22 +108,26 @@ func AllgathervBruck(p *mpi.Proc, send buffer.Buf, scount int, recv buffer.Buf, 
 
 // dissemAllgatherv is the step loop of AllgathervBruck, shared with
 // PersistentAG.Start: P > 1, a nonempty layout, woff from relOffsets,
-// and a work buffer w of woff[P] bytes.
+// and a work buffer w of woff[P] bytes. At the step with distance m the
+// rank sends its first min(m, P-m) accumulated blocks (a contiguous
+// work-buffer prefix) to rank-m and receives as many from rank+m, which
+// extend the prefix at relative block m. Relative block j holds the
+// contribution of global rank (rank+j) mod P, so both sides derive
+// every size from the globally known counts.
 func dissemAllgatherv(p *mpi.Proc, send buffer.Buf, scount int, recv buffer.Buf, rcounts, rdispls, woff []int, w buffer.Buf) {
 	P := p.Size()
 	rank := p.Rank()
 	p.Memcpy(w.Slice(0, scount), send.Slice(0, scount))
 
 	done := p.Phase(PhaseComm)
-	dissemGen(P, rank)(func(si int, st *schedStep) {
+	for si, m := 0, 1; m < P; si, m = si+1, m<<1 {
 		p.SetStep(si)
-		cnt := len(st.rel)
-		first := st.rel[0] // == st.step: the received prefix lands here
+		cnt := min(m, P-m)
 		out := woff[cnt]
-		in := woff[first+cnt] - woff[first]
+		in := woff[m+cnt] - woff[m]
 		tag := tagAllgatherv + si
-		p.SendRecv(st.dst, tag, w.Slice(0, out), st.src, tag, w.Slice(woff[first], in))
-	})
+		p.SendRecv((rank-m+P)%P, tag, w.Slice(0, out), (rank+m)%P, tag, w.Slice(woff[m], in))
+	}
 	p.ClearStep()
 	done()
 
@@ -215,17 +219,22 @@ func AllgathervDoubling(p *mpi.Proc, send buffer.Buf, scount int, recv buffer.Bu
 		p.Recv(rank+p2, agFoldIn, recv.Slice(rdispls[rank+p2], rcounts[rank+p2]))
 	}
 
+	// At the step with mask m the rank sends its owned block set to
+	// partner rank^m and receives the partner's.
 	done := p.Phase(PhaseComm)
-	owned := make([]int, 0, p2)
-	doublingGen(rank, p2, rem)(func(si int, st *schedStep) {
+	ids := make([]int, 2*p2)
+	owned, theirs := ids[:0:p2], ids[p2:p2]
+	for si, m := 0, 1; m < p2; si, m = si+1, m<<1 {
 		p.SetStep(si)
-		owned = doublingOwned(owned, rank, st.step, p2, rem)
+		partner := rank ^ m
+		owned = doublingOwned(owned, rank, m, p2, rem)
+		theirs = doublingOwned(theirs, partner, m, p2, rem)
 		out := pack(owned)
-		in := bytesOf(st.rel)
+		in := bytesOf(theirs)
 		tag := tagAllgatherv + si
-		p.SendRecv(st.dst, tag, stage.Slice(0, out), st.src, tag, rstage.Slice(0, in))
-		unpack(st.rel, rstage)
-	})
+		p.SendRecv(partner, tag, stage.Slice(0, out), partner, tag, rstage.Slice(0, in))
+		unpack(theirs, rstage)
+	}
 	p.ClearStep()
 	done()
 

@@ -95,12 +95,12 @@ func doublingAllreduce(p *mpi.Proc, op ReduceOp, recv buffer.Buf, n int, scratch
 	}
 
 	done := p.Phase(PhaseComm)
-	doublingGen(rank, p2, 0)(func(si int, st *schedStep) {
+	for si, m := 0, 1; m < p2; si, m = si+1, m<<1 {
 		p.SetStep(si)
 		tag := tagAllreduce + si
-		p.SendRecv(st.dst, tag, recv.Slice(0, n), st.src, tag, scratch.Slice(0, n))
+		p.SendRecv(rank^m, tag, recv.Slice(0, n), rank^m, tag, scratch.Slice(0, n))
 		combineBuf(p, op, recv.Slice(0, n), scratch.Slice(0, n))
-	})
+	}
 	p.ClearStep()
 	done()
 

@@ -13,9 +13,9 @@ import (
 // for rank i, packed in rank order) and ends with the element-wise
 // op-reduction of segment rank across all contributions. As with
 // allgatherv, counts are part of the call contract on every rank, so
-// no metadata travels. The log-P algorithm is recursive halving on the
-// schedule engine's halvingGen; the linear baseline reduces each
-// rank's segment directly from P-1 messages.
+// no metadata travels. The log-P algorithm is recursive halving
+// (halvingReduceScatter); the linear baseline reduces each rank's
+// segment directly from P-1 messages.
 
 // ReduceScatter is the reducing scatter signature: send holds P
 // segments packed contiguously in rank order (segment i is counts[i]
@@ -135,25 +135,27 @@ func halvingReduceScatter(p *mpi.Proc, op ReduceOp, send buffer.Buf, counts, dis
 		return n
 	}
 
+	// At group size g the rank's group [lo, lo+g) splits in halves: the
+	// rank keeps its own half's segments and sends the other half's to
+	// partner rank^(g/2), which keeps those.
 	done := p.Phase(PhaseComm)
-	kept := make([]int, 0, p2)
-	halvingGen(rank, p2, rem)(func(si int, st *schedStep) {
+	segs := make([]int, 2*p2)
+	kept, sent := segs[:0:p2], segs[p2:p2]
+	for si, g := 0, p2; g > 1; si, g = si+1, g>>1 {
 		p.SetStep(si)
-		// The kept set after this step: this rank's sub-group of size
-		// st.step (the halved group), by the same derivation the
-		// generator uses for the partner's half.
-		half := st.step
-		myLo := rank &^ (2*half - 1)
+		half := g / 2
+		myLo, theirLo := rank&^(g-1), rank&^(g-1)+half
 		if rank&half != 0 {
-			myLo += half
+			myLo, theirLo = theirLo, myLo
 		}
 		kept = halvingSegs(kept, myLo, half, p2, rem)
-		out := pack(st.rel)
+		sent = halvingSegs(sent, theirLo, half, p2, rem)
+		out := pack(sent)
 		in := bytesOf(kept)
 		tag := tagRedScat + si
-		p.SendRecv(st.dst, tag, stage.Slice(0, out), st.src, tag, rstage.Slice(0, in))
+		p.SendRecv(rank^half, tag, stage.Slice(0, out), rank^half, tag, rstage.Slice(0, in))
 		fold(kept)
-	})
+	}
 	p.ClearStep()
 	done()
 
