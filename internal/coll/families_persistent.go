@@ -14,57 +14,13 @@ import (
 // immediate algorithm's O(P) setup cost once and pins the scratch from
 // the rank's arena, and every Start runs the immediate algorithm's step
 // loop on the pinned buffers, byte-exact with it (same partners, tags,
-// and message sizes).
-
-// familyHandle is the state every family persistent handle shares: the
-// pinned scratch and the execution count.
-type familyHandle struct {
-	p        *mpi.Proc
-	pinned   []buffer.Buf
-	executed int
-	released bool
-}
-
-// Executions returns how many times the handle has started.
-func (h *familyHandle) Executions() int { return h.executed }
-
-// Free returns the handle's pinned buffers to the rank's arena; a later
-// Start fails with ErrHandleFreed.
-func (h *familyHandle) Free() {
-	if h.released {
-		return
-	}
-	h.released = true
-	h.p.FreeBuf(h.pinned...)
-	h.pinned = nil
-}
-
-// pin takes an n-byte buffer from the rank's arena for the handle's
-// lifetime.
-func (h *familyHandle) pin(n int) buffer.Buf {
-	b := h.p.AllocBuf(n)
-	h.pinned = append(h.pinned, b)
-	return b
-}
-
-// begin admits one Start whose arguments checked as check: a freed
-// handle fails first, then a bad argument; otherwise the execution
-// counts.
-func (h *familyHandle) begin(check error) error {
-	if h.released {
-		return fmt.Errorf("coll: %w", ErrHandleFreed)
-	}
-	if check != nil {
-		return check
-	}
-	h.executed++
-	return nil
-}
+// and message sizes). The handles share the persistentHandle shell
+// (persistent.go) with PersistentV.
 
 // PersistentAG is a reusable allgatherv handle returned by
 // AllgathervInit. Start runs the dissemination allgatherv.
 type PersistentAG struct {
-	familyHandle
+	persistentHandle
 	rcounts []int
 	rdispls []int
 	woff    []int
@@ -84,9 +40,9 @@ func AllgathervInit(p *mpi.Proc, rcounts, rdispls []int) (*PersistentAG, error) 
 	}
 	P := p.Size()
 	h := &PersistentAG{
-		familyHandle: familyHandle{p: p},
-		rcounts:      append([]int(nil), rcounts...),
-		rdispls:      append([]int(nil), rdispls...),
+		persistentHandle: persistentHandle{p: p},
+		rcounts:          append([]int(nil), rcounts...),
+		rdispls:          append([]int(nil), rdispls...),
 	}
 	h.woff, h.total = relOffsets(P, p.Rank(), rcounts)
 	p.Charge(float64(P))
@@ -119,7 +75,7 @@ func (h *PersistentAG) Start(send, recv buffer.Buf) error {
 // PersistentRS is a reusable reduce-scatter handle returned by
 // ReduceScatterInit. Start runs the recursive-halving reduce-scatter.
 type PersistentRS struct {
-	familyHandle
+	persistentHandle
 	op               ReduceOp
 	counts, displs   []int
 	total            int
@@ -133,7 +89,7 @@ func ReduceScatterInit(p *mpi.Proc, op ReduceOp, counts []int) (*PersistentRS, e
 		return nil, errOp(op)
 	}
 	P := p.Size()
-	h := &PersistentRS{familyHandle: familyHandle{p: p}, op: op, counts: append([]int(nil), counts...)}
+	h := &PersistentRS{persistentHandle: persistentHandle{p: p}, op: op, counts: append([]int(nil), counts...)}
 	var err error
 	if h.displs, h.total, err = checkRSLayout(p, counts); err != nil {
 		return nil, err
@@ -194,7 +150,7 @@ func (h *PersistentRS) Start(send, recv buffer.Buf) error {
 // the rsag choice composes a PersistentRS and a PersistentAG over the
 // contiguous n/P chunking.
 type PersistentAR struct {
-	familyHandle
+	persistentHandle
 	op        ReduceOp
 	n         int
 	algorithm string
@@ -215,7 +171,7 @@ func AllreduceInit(p *mpi.Proc, op ReduceOp, n int) (*PersistentAR, error) {
 		return nil, fmt.Errorf("coll: negative allreduce vector size %d", n)
 	}
 	P := p.Size()
-	h := &PersistentAR{familyHandle: familyHandle{p: p}, op: op, n: n}
+	h := &PersistentAR{persistentHandle: persistentHandle{p: p}, op: op, n: n}
 	h.algorithm = SelectAllreduce(p.World().Model(), P, n).Algorithm
 	if P == 1 || n == 0 {
 		return h, nil
@@ -250,7 +206,7 @@ func (h *PersistentAR) Free() {
 		h.rs.Free()
 		h.ag.Free()
 	}
-	h.familyHandle.Free()
+	h.persistentHandle.Free()
 }
 
 // Start performs one allreduce with the frozen (op, n). Collective;
