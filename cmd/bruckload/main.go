@@ -174,12 +174,14 @@ func schedule(templates []template, seed uint64, rate float64, duration time.Dur
 	return out
 }
 
-// openLoop runs every arrival on a pool of workers, each job no earlier
-// than start plus its due offset, and returns the outcomes in arrival
-// order. do receives the absolute due time to time the job from. A
-// late wake-up delays only the job it belongs to: the next job's due
-// time comes from the schedule, not from the previous wake-up.
-func openLoop(arrivals []arrival, workers int, start time.Time, do func(a arrival, due time.Time) outcome) []outcome {
+// openLoop runs every arrival on a pool of workers, each job once
+// sleepUntil has returned for start plus its due offset, and returns
+// the outcomes in arrival order. do receives the absolute due time to
+// time the job from. A late wake-up delays only the job it belongs to:
+// the next job's due time comes from the schedule, not from the
+// previous wake-up.
+func openLoop(arrivals []arrival, workers int, start time.Time, sleepUntil func(time.Time),
+	do func(a arrival, due time.Time) outcome) []outcome {
 	out := make([]outcome, len(arrivals))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -189,7 +191,7 @@ func openLoop(arrivals []arrival, workers int, start time.Time, do func(a arriva
 			defer wg.Done()
 			for i := int(next.Add(1) - 1); i < len(arrivals); i = int(next.Add(1) - 1) {
 				due := start.Add(arrivals[i].due)
-				time.Sleep(time.Until(due))
+				sleepUntil(due)
 				out[i] = do(arrivals[i], due)
 			}
 		}()
@@ -266,7 +268,8 @@ func run() error {
 	arrivals := schedule(templates, *seed, *rate, *duration)
 	submitted := len(arrivals)
 	start := time.Now()
-	outcomes := openLoop(arrivals, loadWorkers, start, func(a arrival, due time.Time) outcome {
+	sleepUntil := func(due time.Time) { time.Sleep(time.Until(due)) }
+	outcomes := openLoop(arrivals, loadWorkers, start, sleepUntil, func(a arrival, due time.Time) outcome {
 		resp, status, err := submit(client, url, a.req)
 		oc := outcome{template: a.tp.name, tenant: a.req.Tenant, latencyNs: time.Since(due).Nanoseconds()}
 		switch {
