@@ -27,10 +27,15 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"bruckv"
 	"bruckv/internal/service"
 )
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so slow or idle connections cannot hold the server.
+const readHeaderTimeout = 10 * time.Second
 
 // defaultConfig is the demo pool bruckd serves without -config,
 // matched by bruckload's built-in workload mix: a shared raw world for
@@ -75,7 +80,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	httpDone := make(chan error, 1)
 	go func() { httpDone <- hs.Serve(ln) }()
 	fmt.Printf("bruckd: serving %d world(s), %d tenant(s) on %s\n",

@@ -21,7 +21,8 @@ type errorBody struct {
 //	GET  /healthz   {"status": "ok" | "draining"}
 //
 // Quota rejections answer 429, admission rejections (unknown tenant,
-// full backlog, draining) 503, malformed jobs 400.
+// full backlog, draining) 503, malformed jobs 400, and a job body over
+// maxJobBody bytes 413.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/jobs", s.handleJobs)
@@ -30,16 +31,25 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxJobBody caps a job request body. A JobRequest is a dozen scalar
+// fields, a few hundred bytes of JSON.
+const maxJobBody = 64 << 10
+
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "invalid", "POST only")
 		return
 	}
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid", "decoding job: "+err.Error())
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "invalid", "decoding job: "+err.Error())
 		return
 	}
 	resp, err := s.Submit(r.Context(), req)

@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -337,6 +339,32 @@ func TestTenantWorldProfiles(t *testing.T) {
 
 // TestMetricsEndpoint scrapes /metrics after serving traffic and spot
 // checks the Prometheus exposition.
+// TestJobBodyCap posts a job body over the cap, which must answer 413
+// without decoding it, and then a valid job to the same server.
+func TestJobBodyCap(t *testing.T) {
+	s := newTestServer(t, testConfig(4))
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	post := func(body string) (int, string) {
+		t.Helper()
+		res, err := srv.Client().Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("post: %v", err)
+		}
+		defer res.Body.Close()
+		var eb errorBody
+		_ = json.NewDecoder(res.Body).Decode(&eb)
+		return res.StatusCode, eb.Kind
+	}
+	huge := `{"tenant":"` + strings.Repeat("a", maxJobBody) + `"}`
+	if code, kind := post(huge); code != http.StatusRequestEntityTooLarge || kind != "invalid" {
+		t.Errorf("oversized body: status %d kind %q, want 413 invalid", code, kind)
+	}
+	if code, _ := post(`{"tenant":"alpha","op":"alltoallv","ranks":2,"max_block":16}`); code != http.StatusOK {
+		t.Errorf("valid job after an oversized one: status %d, want 200", code)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	s := newTestServer(t, testConfig(6))
 	ctx := context.Background()
