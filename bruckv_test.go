@@ -1,6 +1,7 @@
 package bruckv
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -144,6 +145,42 @@ func TestPhantomWorldNilBuffers(t *testing.T) {
 	}
 	if w.TotalBytes() <= 0 || w.TotalMessages() <= 0 {
 		t.Error("no traffic recorded")
+	}
+}
+
+// TestPhantomWorldExchangeCounts checks that counts, which drive
+// control flow, arrive exact in a phantom world on both executors: the
+// count exchange must not stage them in size-only scratch.
+func TestPhantomWorldExchangeCounts(t *testing.T) {
+	for _, ex := range []Executor{Goroutines, Events} {
+		for _, P := range []int{4, 5} {
+			w, err := NewWorld(P, WithPhantom(), WithExecutor(ex))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = w.Run(func(c *Comm) error {
+				// Rank s sends s*P+d+1 to rank d, so every count is
+				// distinct and nonzero.
+				scounts := make([]int, P)
+				for d := range scounts {
+					scounts[d] = c.Rank()*P + d + 1
+				}
+				rcounts := make([]int, P)
+				if err := c.ExchangeCounts(scounts, rcounts); err != nil {
+					return err
+				}
+				for s, got := range rcounts {
+					if want := s*P + c.Rank() + 1; got != want {
+						return fmt.Errorf("rank %d: rcounts = %v, want rcounts[%d] = %d", c.Rank(), rcounts, s, want)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("%v P=%d: %v", ex, P, err)
+			}
+			w.Close()
+		}
 	}
 }
 

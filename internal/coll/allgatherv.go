@@ -173,19 +173,17 @@ func AllgathervDoubling(p *mpi.Proc, send buffer.Buf, scount int, recv buffer.Bu
 	p2 := pow2Below(P)
 	rem := P - p2
 
-	stage := p.AllocBuf(total)
-	rstage := p.AllocBuf(total)
-	defer p.FreeBuf(stage, rstage)
-
-	// pack copies the blocks of the listed ranks from recv into stage,
-	// returning the packed length; unpack scatters them back out.
-	pack := func(ids []int) int {
+	// sendPacked packs the blocks of the listed ranks from recv straight
+	// into a payload of n bytes (their total) and sends it; unpack
+	// scatters a received payload back out and frees it.
+	sendPacked := func(ids []int, n, dst, tag int) {
+		pl := p.PayloadBuf(n, recv.Real())
 		off := 0
 		for _, g := range ids {
-			p.Memcpy(stage.Slice(off, rcounts[g]), recv.Slice(rdispls[g], rcounts[g]))
+			p.Memcpy(pl.Slice(off, rcounts[g]), recv.Slice(rdispls[g], rcounts[g]))
 			off += rcounts[g]
 		}
-		return off
+		p.SendPayload(dst, tag, pl)
 	}
 	unpack := func(ids []int, from buffer.Buf) {
 		off := 0
@@ -193,6 +191,7 @@ func AllgathervDoubling(p *mpi.Proc, send buffer.Buf, scount int, recv buffer.Bu
 			p.Memcpy(recv.Slice(rdispls[g], rcounts[g]), from.Slice(off, rcounts[g]))
 			off += rcounts[g]
 		}
+		p.FreePayload(from)
 	}
 	bytesOf := func(ids []int) int {
 		n := 0
@@ -205,12 +204,12 @@ func AllgathervDoubling(p *mpi.Proc, send buffer.Buf, scount int, recv buffer.Bu
 	if rank >= p2 {
 		// Remainder rank: fold the block in, take the full result out.
 		p.Send(rank-p2, agFoldIn, send.Slice(0, scount))
-		p.Recv(rank-p2, agFoldOut, rstage.Slice(0, total))
+		in := p.RecvPayload(rank-p2, agFoldOut, total)
 		all := make([]int, P)
 		for g := range all {
 			all[g] = g
 		}
-		unpack(all, rstage)
+		unpack(all, in)
 		return nil
 	}
 
@@ -229,11 +228,9 @@ func AllgathervDoubling(p *mpi.Proc, send buffer.Buf, scount int, recv buffer.Bu
 		partner := rank ^ m
 		owned = doublingOwned(owned, rank, m, p2, rem)
 		theirs = doublingOwned(theirs, partner, m, p2, rem)
-		out := pack(owned)
-		in := bytesOf(theirs)
 		tag := tagAllgatherv + si
-		p.SendRecv(partner, tag, stage.Slice(0, out), partner, tag, rstage.Slice(0, in))
-		unpack(theirs, rstage)
+		sendPacked(owned, bytesOf(owned), partner, tag)
+		unpack(theirs, p.RecvPayload(partner, tag, bytesOf(theirs)))
 	}
 	p.ClearStep()
 	done()
@@ -243,8 +240,7 @@ func AllgathervDoubling(p *mpi.Proc, send buffer.Buf, scount int, recv buffer.Bu
 		for g := range all {
 			all[g] = g
 		}
-		out := pack(all)
-		p.Send(rank+p2, agFoldOut, stage.Slice(0, out))
+		sendPacked(all, total, rank+p2, agFoldOut)
 	}
 	return nil
 }

@@ -89,10 +89,12 @@ func maxCellSize(P int, sizes func(P, rank, dst int) int) int {
 }
 
 // runConformanceCase runs one implementation on one shape and checks it
-// byte-for-byte against the spread-out oracle.
+// byte-for-byte against the spread-out oracle. Transport checks are on,
+// so a payload read after it went back to the pool reads poison, and
+// every payload must be back when the run ends.
 func runConformanceCase(t *testing.T, name string, alg Alltoallv, P int, sizes func(P, rank, dst int) int) {
 	t.Helper()
-	w, err := mpi.NewWorld(P, mpi.WithModel(machine.Zero()))
+	w, err := mpi.NewWorld(P, mpi.WithModel(machine.Zero()), mpi.WithTransportChecks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +128,9 @@ func runConformanceCase(t *testing.T, name string, alg Alltoallv, P int, sizes f
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
+	}
+	if out := w.RunStats().Pool.Outstanding(); out != 0 {
+		t.Errorf("%s: %d payloads outstanding after the run", name, out)
 	}
 }
 

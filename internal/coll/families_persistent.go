@@ -76,10 +76,10 @@ func (h *PersistentAG) Start(send, recv buffer.Buf) error {
 // ReduceScatterInit. Start runs the recursive-halving reduce-scatter.
 type PersistentRS struct {
 	persistentHandle
-	op               ReduceOp
-	counts, displs   []int
-	total            int
-	w, stage, rstage buffer.Buf
+	op             ReduceOp
+	counts, displs []int
+	total          int
+	w              buffer.Buf
 }
 
 // ReduceScatterInit builds a persistent reduce-scatter handle for a
@@ -97,7 +97,7 @@ func ReduceScatterInit(p *mpi.Proc, op ReduceOp, counts []int) (*PersistentRS, e
 	p.Charge(float64(P))
 	// Remainder ranks only take part in the fold transfers.
 	if P > 1 && h.total > 0 && p.Rank() < pow2Below(P) {
-		h.w, h.stage, h.rstage = h.pin(h.total), h.pin(h.total), h.pin(h.total)
+		h.w = h.pin(h.total)
 	}
 	return h, nil
 }
@@ -139,7 +139,7 @@ func (h *PersistentRS) Start(send, recv buffer.Buf) error {
 	if p.Size() == 1 {
 		p.Memcpy(recv.Slice(0, h.counts[0]), send.Slice(0, h.counts[0]))
 	} else if h.total > 0 {
-		halvingReduceScatter(p, h.op, send, h.counts, h.displs, h.total, recv, h.w, h.stage, h.rstage)
+		halvingReduceScatter(p, h.op, send, h.counts, h.displs, h.total, recv, h.w)
 	}
 	return nil
 }

@@ -122,10 +122,11 @@ func arOracle(op ReduceOp, P, n int) buffer.Buf {
 	return want
 }
 
-// famWorld builds the default conformance world.
+// famWorld builds the default conformance world, with transport checks
+// on so a payload used after it went back to the pool reads poison.
 func famWorld(t *testing.T, P int, opts ...mpi.Option) *mpi.World {
 	t.Helper()
-	w, err := mpi.NewWorld(P, append([]mpi.Option{mpi.WithModel(machine.Zero())}, opts...)...)
+	w, err := mpi.NewWorld(P, append([]mpi.Option{mpi.WithModel(machine.Zero()), mpi.WithTransportChecks()}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,8 +362,7 @@ func TestFamilyLossRecovery(t *testing.T) {
 	for _, seed := range []uint64{4, 5} {
 		pl := fault.Plan{Seed: seed, Loss: 0.2, Dup: 0.1, Corrupt: 0.1}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			w := famWorld(t, P, mpi.WithFaults(pl), mpi.WithTransportChecks(),
-				mpi.WithDeadline(2*time.Minute))
+			w := famWorld(t, P, mpi.WithFaults(pl), mpi.WithDeadline(2*time.Minute))
 			err := w.Run(func(p *mpi.Proc) error {
 				if err := checkAllgathervAll(p, P, counts); err != nil {
 					return err

@@ -64,12 +64,13 @@ func (h *persistentHandle) begin(check error) error {
 // built on the radix-r two-phase engine. Initialization freezes
 // everything a repeated exchange with fixed counts can reuse: the radix
 // schedule (partner sequence, per-sub-step block lists, tags), the
-// rotation index, and pinned staging buffers from the rank's pooled
-// scratch arena. The first Start additionally freezes the exchange's
-// data-dependent state — the metadata (block sizes) every sub-step
-// would exchange and each block's source (send buffer vs working
-// buffer) — so every later Start skips the metadata phase entirely:
-// half the messages per sub-step, and no per-call size bookkeeping.
+// rotation index, and the working and metadata buffers, pinned from the
+// rank's pooled scratch arena. The first Start additionally freezes the
+// exchange's data-dependent state — the metadata (block sizes) every
+// sub-step would exchange and each block's source (send buffer vs
+// working buffer) — so every later Start skips the metadata phase
+// entirely: half the messages per sub-step, and no per-call size
+// bookkeeping.
 
 // maxAutoRadix bounds the radix AlltoallvInitAuto's model search
 // considers.
@@ -182,16 +183,17 @@ func alltoallvInitWithMax(p *mpi.Proc, r, n int, scounts, sdispls, rcounts, rdis
 		return h             // nothing travels; Start degenerates to the self copy
 	}
 	h.st.init(p, r, n, scounts)
-	h.pinned = append(h.pinned, h.st.w, h.st.stage, h.st.rstage, h.st.meta, h.st.rmeta)
+	h.pinned = append(h.pinned, h.st.w, h.st.meta, h.st.rmeta)
 	blocks := 0
 	for si := range h.sched.steps {
 		blocks += len(h.sched.steps[si].rel)
 	}
 	h.rec = twoPhaseRecord{
-		out:     make([]int32, 0, blocks),
-		fromW:   make([]bool, 0, blocks),
-		in:      make([]int32, 0, blocks),
-		inTotal: make([]int, 0, len(h.sched.steps)),
+		out:      make([]int32, 0, blocks),
+		fromW:    make([]bool, 0, blocks),
+		in:       make([]int32, 0, blocks),
+		outTotal: make([]int, 0, len(h.sched.steps)),
+		inTotal:  make([]int, 0, len(h.sched.steps)),
 	}
 	return h
 }
@@ -245,7 +247,8 @@ func (h *PersistentV) Start(send, recv buffer.Buf) error {
 	// Start each recording from the layout, so a Start that failed
 	// part-way leaves nothing behind.
 	h.st.reset(h.scounts)
-	h.rec = twoPhaseRecord{out: h.rec.out[:0], fromW: h.rec.fromW[:0], in: h.rec.in[:0], inTotal: h.rec.inTotal[:0]}
+	h.rec = twoPhaseRecord{out: h.rec.out[:0], fromW: h.rec.fromW[:0], in: h.rec.in[:0],
+		outTotal: h.rec.outTotal[:0], inTotal: h.rec.inTotal[:0]}
 	if err := h.st.exchange(p, send, h.sdispls, recv, h.rcounts, h.rdispls, &h.rec); err != nil {
 		return err
 	}
@@ -254,18 +257,20 @@ func (h *PersistentV) Start(send, recv buffer.Buf) error {
 }
 
 // startFrozen replays the recorded exchange over the frozen schedule:
-// pack from the recorded sources, one data message per sub-step, unpack
-// to the recorded placements. No metadata travels and no sizes are
-// recomputed.
+// pack from the recorded sources straight into the sub-step's one data
+// payload, unpack from the received one to the recorded placements. No
+// metadata travels and no sizes are recomputed.
 func (h *PersistentV) startFrozen(send, recv buffer.Buf) {
 	p := h.p
 	P := p.Size()
 	rank := h.sched.rank
 	st, rec := &h.st, &h.rec
+	real := send.Real() && st.w.Real()
 	b := 0 // the record's index of the sub-step's first block
 	for si := range h.sched.steps {
 		sub := &h.sched.steps[si]
 		p.SetStep(si)
+		pl := p.PayloadBuf(rec.outTotal[si], real)
 		off := 0
 		for j, i := range sub.rel {
 			s := (i + rank) % P
@@ -276,23 +281,24 @@ func (h *PersistentV) startFrozen(send, recv buffer.Buf) {
 			} else {
 				blk = send.Slice(h.sdispls[st.idx[s]], sz)
 			}
-			p.Memcpy(st.stage.Slice(off, sz), blk)
+			p.Memcpy(pl.Slice(off, sz), blk)
 			off += sz
 		}
 		dtag := tagRadixData + si
-		p.Send(sub.dst, dtag, st.stage.Slice(0, off))
-		p.Recv(sub.src, dtag, st.rstage.Slice(0, rec.inTotal[si]))
+		p.SendPayload(sub.dst, dtag, pl)
+		in := p.RecvPayload(sub.src, dtag, rec.inTotal[si])
 		roff := 0
 		for j, i := range sub.rel {
 			s := (i + rank) % P
 			sz := int(rec.in[b+j])
 			if j < sub.final {
-				p.Memcpy(recv.Slice(h.rdispls[s], sz), st.rstage.Slice(roff, sz))
+				p.Memcpy(recv.Slice(h.rdispls[s], sz), in.Slice(roff, sz))
 			} else {
-				p.Memcpy(st.w.Slice(s*h.n, sz), st.rstage.Slice(roff, sz))
+				p.Memcpy(st.w.Slice(s*h.n, sz), in.Slice(roff, sz))
 			}
 			roff += sz
 		}
+		p.FreePayload(in)
 		b += len(sub.rel)
 	}
 }

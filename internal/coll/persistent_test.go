@@ -19,7 +19,7 @@ func TestPersistentMatchesFresh(t *testing.T) {
 	for _, r := range []int{2, 3, 5, 8} {
 		t.Run(fmt.Sprintf("r%d", r), func(t *testing.T) {
 			fresh := TwoPhaseBruckRadix(r)
-			w, err := mpi.NewWorld(P, mpi.WithModel(machine.Zero()))
+			w, err := mpi.NewWorld(P, mpi.WithModel(machine.Zero()), mpi.WithTransportChecks())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -85,7 +85,11 @@ func ZeroRotationBruckRadix(r int) Alltoall {
 // communication pattern (no final rotation) driven by SLOAV's rotation
 // index array (no initial rotation). A block is fetched from the send
 // buffer through the index on its first transmission and from the
-// receive buffer afterwards, tracked by a status array.
+// receive buffer afterwards, tracked by a status array. Each step packs
+// straight into the payload it sends and unpacks from the one it
+// receives; payloads are real when send and recv, the buffers packed
+// from, are, so real count bytes stay real in a phantom world
+// (CountsExchange).
 func zeroRotation(p *mpi.Proc, r int, send buffer.Buf, n int, recv buffer.Buf) error {
 	if err := checkUniform(p, send, n, recv); err != nil {
 		return err
@@ -113,12 +117,12 @@ func zeroRotation(p *mpi.Proc, r int, send buffer.Buf, n int, recv buffer.Buf) e
 	defer done()
 	defer p.ClearStep()
 	status := make([]bool, P)
-	stage := p.AllocBuf(maxB * n)
-	rstage := p.AllocBuf(maxB * n)
-	defer p.FreeBuf(stage, rstage)
+	real := send.Real() && recv.Real()
 	for it := newRadixWalk(P, rank, r, rel); it.next(); {
 		sub := &it.st
 		p.SetStep(it.si)
+		total := len(sub.rel) * n
+		pl := p.PayloadBuf(total, real)
 		for j, i := range sub.rel {
 			s := (i + rank) % P
 			var blk buffer.Buf
@@ -127,16 +131,34 @@ func zeroRotation(p *mpi.Proc, r int, send buffer.Buf, n int, recv buffer.Buf) e
 			} else {
 				blk = send.Slice(idx[s]*n, n)
 			}
-			p.Memcpy(stage.Slice(j*n, n), blk)
+			p.Memcpy(pl.Slice(j*n, n), blk)
 		}
-		total := len(sub.rel) * n
 		utag := tagRadixUniform + it.si
-		p.SendRecv(sub.dst, utag, stage.Slice(0, total), sub.src, utag, rstage.Slice(0, total))
+		p.SendPayload(sub.dst, utag, pl)
+		in, err := recvStep(p, sub.src, utag, total)
+		if err != nil {
+			return err
+		}
 		for j, i := range sub.rel {
 			s := (i + rank) % P
-			p.Memcpy(recv.Slice(s*n, n), rstage.Slice(j*n, n))
+			p.Memcpy(recv.Slice(s*n, n), in.Slice(j*n, n))
 			status[s] = true
 		}
+		p.FreePayload(in)
 	}
 	return nil
+}
+
+// recvStep receives a uniform step's packed payload, which must hold
+// exactly n bytes. A shorter one means the peer packed another block
+// size (n differs across ranks); it is freed and reported instead of
+// being unpacked past its end.
+func recvStep(p *mpi.Proc, src, tag, n int) (buffer.Buf, error) {
+	in := p.RecvPayload(src, tag, n)
+	if in.Len() != n {
+		p.FreePayload(in)
+		return buffer.Buf{}, fmt.Errorf("coll: rank %d: step message from rank %d holds %d bytes, want %d: block size differs across ranks",
+			p.Rank(), src, in.Len(), n)
+	}
+	return in, nil
 }

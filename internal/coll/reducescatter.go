@@ -76,21 +76,23 @@ func ReduceScatterHalving(p *mpi.Proc, op ReduceOp, send buffer.Buf, counts []in
 	if total == 0 {
 		return nil
 	}
-	var w, stage, rstage buffer.Buf
+	var w buffer.Buf
 	if rank < pow2Below(P) {
-		w, stage, rstage = p.AllocBuf(total), p.AllocBuf(total), p.AllocBuf(total)
-		defer p.FreeBuf(w, stage, rstage)
+		w = p.AllocBuf(total)
+		defer p.FreeBuf(w)
 	}
-	halvingReduceScatter(p, op, send, counts, displs, total, recv, w, stage, rstage)
+	halvingReduceScatter(p, op, send, counts, displs, total, recv, w)
 	return nil
 }
 
 // halvingReduceScatter is the step loop of ReduceScatterHalving, shared
 // with PersistentRS.Start: P > 1, a nonempty vector of total bytes
-// packed at displs, and, on the power-of-two core, buffers w, stage and
-// rstage of total bytes each (remainder ranks use none).
+// packed at displs, and, on the power-of-two core, a working buffer w
+// of total bytes (remainder ranks use none). Each step packs straight
+// into the payload it sends and folds straight from the one it
+// receives.
 func halvingReduceScatter(p *mpi.Proc, op ReduceOp, send buffer.Buf, counts, displs []int, total int,
-	recv, w, stage, rstage buffer.Buf) {
+	recv, w buffer.Buf) {
 	P := p.Size()
 	rank := p.Rank()
 	p2 := pow2Below(P)
@@ -106,26 +108,30 @@ func halvingReduceScatter(p *mpi.Proc, op ReduceOp, send buffer.Buf, counts, dis
 
 	p.Memcpy(w.Slice(0, total), send.Slice(0, total))
 	if rank < rem {
-		p.Recv(rank+p2, rsFoldIn, rstage.Slice(0, total))
-		combineBuf(p, op, w.Slice(0, total), rstage.Slice(0, total))
+		in := p.RecvPayload(rank+p2, rsFoldIn, total)
+		combineBuf(p, op, w.Slice(0, total), in)
+		p.FreePayload(in)
 	}
 
-	// pack gathers the listed segments of w into stage, returning the
-	// packed length; fold combines a packed run back into w's segments.
-	pack := func(ids []int) int {
+	// sendPacked gathers the listed segments of w into a payload of n
+	// bytes (their total) and sends it; fold combines a received packed
+	// run back into w's segments and frees it.
+	sendPacked := func(ids []int, n, dst, tag int) {
+		pl := p.PayloadBuf(n, w.Real())
 		off := 0
 		for _, s := range ids {
-			p.Memcpy(stage.Slice(off, counts[s]), w.Slice(displs[s], counts[s]))
+			p.Memcpy(pl.Slice(off, counts[s]), w.Slice(displs[s], counts[s]))
 			off += counts[s]
 		}
-		return off
+		p.SendPayload(dst, tag, pl)
 	}
-	fold := func(ids []int) {
+	fold := func(ids []int, in buffer.Buf) {
 		off := 0
 		for _, s := range ids {
-			combineBuf(p, op, w.Slice(displs[s], counts[s]), rstage.Slice(off, counts[s]))
+			combineBuf(p, op, w.Slice(displs[s], counts[s]), in.Slice(off, counts[s]))
 			off += counts[s]
 		}
+		p.FreePayload(in)
 	}
 	bytesOf := func(ids []int) int {
 		n := 0
@@ -150,11 +156,9 @@ func halvingReduceScatter(p *mpi.Proc, op ReduceOp, send buffer.Buf, counts, dis
 		}
 		kept = halvingSegs(kept, myLo, half, p2, rem)
 		sent = halvingSegs(sent, theirLo, half, p2, rem)
-		out := pack(sent)
-		in := bytesOf(kept)
 		tag := tagRedScat + si
-		p.SendRecv(rank^half, tag, stage.Slice(0, out), rank^half, tag, rstage.Slice(0, in))
-		fold(kept)
+		sendPacked(sent, bytesOf(sent), rank^half, tag)
+		fold(kept, p.RecvPayload(rank^half, tag, bytesOf(kept)))
 	}
 	p.ClearStep()
 	done()

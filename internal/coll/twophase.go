@@ -82,9 +82,10 @@ type twoPhaseState struct {
 	inW  []bool
 	rel  []int // the radix walk's block-list scratch
 	// w is the monolithic working buffer, sized for the worst case so
-	// no intermediate block can overflow; stage and rstage hold one
-	// sub-step's packed blocks, meta and rmeta its sizes.
-	w, stage, rstage, meta, rmeta buffer.Buf
+	// no intermediate block can overflow; meta and rmeta hold one
+	// sub-step's block sizes. The packed blocks themselves travel in
+	// transport payloads, packed and unpacked in place.
+	w, meta, rmeta buffer.Buf
 }
 
 // init sizes the state for a radix-r exchange of this rank's scounts
@@ -103,8 +104,6 @@ func (st *twoPhaseState) init(p *mpi.Proc, r, n int, scounts []int) {
 	p.Charge(float64(P))
 	st.inW = make([]bool, P)
 	st.reset(scounts)
-	st.stage = p.AllocBuf(maxB * n)
-	st.rstage = p.AllocBuf(maxB * n)
 	// Metadata travels as real bytes even in phantom worlds: the sizes
 	// drive control flow.
 	st.meta = p.AllocReal(4 * maxB)
@@ -122,41 +121,48 @@ func (st *twoPhaseState) reset(scounts []int) {
 
 // free returns the state's buffers to the rank's scratch arena.
 func (st *twoPhaseState) free(p *mpi.Proc) {
-	p.FreeBuf(st.w, st.stage, st.rstage, st.meta, st.rmeta)
+	p.FreeBuf(st.w, st.meta, st.rmeta)
 }
 
 // twoPhaseRecord is the data-dependent state of one exchange, captured
 // so a persistent handle can replay it without metadata. Entries follow
 // the radix walk's blocks in order: out and fromW describe each
 // outgoing block (its size, and whether it is read from W rather than
-// the send buffer), in each incoming block's size; inTotal holds each
-// sub-step's incoming packed length.
+// the send buffer), in each incoming block's size; outTotal and
+// inTotal hold each sub-step's outgoing and incoming packed lengths.
 type twoPhaseRecord struct {
-	out     []int32
-	fromW   []bool
-	in      []int32
-	inTotal []int
+	out               []int32
+	fromW             []bool
+	in                []int32
+	outTotal, inTotal []int
 }
 
 // exchange runs the step loop of Algorithm 1 (lines 6-33) over the
 // radix walk: at each sub-step a metadata exchange of the outgoing
-// block sizes, then the packed data. Blocks on their final hop land at
-// their destination offset in recv; the rest go to W to be forwarded.
-// A non-nil rec captures the exchange for replay.
+// block sizes, then the packed data, packed straight into the payload
+// the transport sends and unpacked from the one it receives. Blocks on
+// their final hop land at their destination offset in recv; the rest
+// go to W to be forwarded. A non-nil rec captures the exchange for
+// replay.
 func (st *twoPhaseState) exchange(p *mpi.Proc, send buffer.Buf, sdispls []int,
 	recv buffer.Buf, rcounts, rdispls []int, rec *twoPhaseRecord) error {
 	P := p.Size()
 	rank := p.Rank()
 	N := st.n
+	// Payloads are real when the blocks packed into them are: those
+	// come from send and from W.
+	real := send.Real() && st.w.Real()
 	for it := newRadixWalk(P, rank, st.r, st.rel); it.next(); {
 		sub := &it.st
 		p.SetStep(it.si)
 
 		// Phase one: metadata — the sizes of the blocks we are sending
 		// (lines 11-16).
+		out := 0
 		for j, i := range sub.rel {
 			s := (i + rank) % P
 			st.meta.PutUint32(4*j, uint32(st.size[s]))
+			out += st.size[s]
 		}
 		mtag := tagRadixMeta + it.si
 		p.SendRecv(sub.dst, mtag, st.meta.Slice(0, 4*len(sub.rel)), sub.src, mtag, st.rmeta.Slice(0, 4*len(sub.rel)))
@@ -164,6 +170,7 @@ func (st *twoPhaseState) exchange(p *mpi.Proc, send buffer.Buf, sdispls []int,
 		// Phase two: pack and send the data (lines 17-24). Blocks come
 		// from W if they were received in an earlier step, else from the
 		// send buffer through the rotation index.
+		pl := p.PayloadBuf(out, real)
 		off := 0
 		for _, i := range sub.rel {
 			s := (i + rank) % P
@@ -178,11 +185,11 @@ func (st *twoPhaseState) exchange(p *mpi.Proc, send buffer.Buf, sdispls []int,
 				rec.out = append(rec.out, int32(sz))
 				rec.fromW = append(rec.fromW, st.inW[s])
 			}
-			p.Memcpy(st.stage.Slice(off, sz), blk)
+			p.Memcpy(pl.Slice(off, sz), blk)
 			off += sz
 		}
 		dtag := tagRadixData + it.si
-		p.Send(sub.dst, dtag, st.stage.Slice(0, off))
+		p.SendPayload(sub.dst, dtag, pl)
 
 		// Receive the incoming packed blocks; the metadata told us the
 		// total.
@@ -190,8 +197,9 @@ func (st *twoPhaseState) exchange(p *mpi.Proc, send buffer.Buf, sdispls []int,
 		for j := range sub.rel {
 			total += int(st.rmeta.Uint32(4 * j))
 		}
-		p.Recv(sub.src, dtag, st.rstage.Slice(0, total))
+		in := p.RecvPayload(sub.src, dtag, total)
 		if rec != nil {
+			rec.outTotal = append(rec.outTotal, out)
 			rec.inTotal = append(rec.inTotal, total)
 		}
 
@@ -202,12 +210,13 @@ func (st *twoPhaseState) exchange(p *mpi.Proc, send buffer.Buf, sdispls []int,
 			sz := int(st.rmeta.Uint32(4 * j))
 			if j < sub.final {
 				if sz != rcounts[s] {
+					p.FreePayload(in)
 					return fmt.Errorf("coll: %s: block for slot %d arrived with %d bytes, rcounts says %d",
 						RadixName(st.r), s, sz, rcounts[s])
 				}
-				p.Memcpy(recv.Slice(rdispls[s], sz), st.rstage.Slice(roff, sz))
+				p.Memcpy(recv.Slice(rdispls[s], sz), in.Slice(roff, sz))
 			} else {
-				p.Memcpy(st.w.Slice(s*N, sz), st.rstage.Slice(roff, sz))
+				p.Memcpy(st.w.Slice(s*N, sz), in.Slice(roff, sz))
 			}
 			if rec != nil {
 				rec.in = append(rec.in, int32(sz))
@@ -216,6 +225,7 @@ func (st *twoPhaseState) exchange(p *mpi.Proc, send buffer.Buf, sdispls []int,
 			st.size[s] = sz
 			st.inW[s] = true
 		}
+		p.FreePayload(in)
 	}
 	return nil
 }

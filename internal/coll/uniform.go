@@ -38,23 +38,29 @@ func BasicBruck(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error {
 	// bit is set travel distance 2^k; received blocks land in the same
 	// slots and may be forwarded at later steps. The forward rotation
 	// makes data flow towards higher ranks, so this sends to the walk's
-	// src and receives from its dst.
+	// src and receives from its dst. Blocks are packed straight into the
+	// payload sent and unpacked from the one received.
 	done = p.Phase(PhaseComm)
-	stage := p.AllocBuf((P + 1) / 2 * n)
-	rstage := p.AllocBuf((P + 1) / 2 * n)
-	defer p.FreeBuf(stage, rstage)
 	for it := newRadixWalk(P, rank, 2, make([]int, 0, (P+1)/2)); it.next(); {
 		sub := &it.st
 		p.SetStep(it.si)
-		for j, s := range sub.rel {
-			p.Memcpy(stage.Slice(j*n, n), work.Slice(s*n, n))
-		}
 		total := len(sub.rel) * n
-		tag := tagBruck + it.si
-		p.SendRecv(sub.src, tag, stage.Slice(0, total), sub.dst, tag, rstage.Slice(0, total))
+		pl := p.PayloadBuf(total, work.Real())
 		for j, s := range sub.rel {
-			p.Memcpy(work.Slice(s*n, n), rstage.Slice(j*n, n))
+			p.Memcpy(pl.Slice(j*n, n), work.Slice(s*n, n))
 		}
+		tag := tagBruck + it.si
+		p.SendPayload(sub.src, tag, pl)
+		in, err := recvStep(p, sub.dst, tag, total)
+		if err != nil {
+			p.ClearStep()
+			done()
+			return err
+		}
+		for j, s := range sub.rel {
+			p.Memcpy(work.Slice(s*n, n), in.Slice(j*n, n))
+		}
+		p.FreePayload(in)
 	}
 	p.ClearStep()
 	done()
@@ -96,23 +102,28 @@ func ModifiedBruck(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error {
 	// rank+2^k; slot for relative index i is (i+rank) mod P. No final
 	// rotation: recv ends correct.
 	done = p.Phase(PhaseComm)
-	stage := p.AllocBuf((P + 1) / 2 * n)
-	rstage := p.AllocBuf((P + 1) / 2 * n)
-	defer p.FreeBuf(stage, rstage)
 	for it := newRadixWalk(P, rank, 2, make([]int, 0, (P+1)/2)); it.next(); {
 		sub := &it.st
 		p.SetStep(it.si)
-		for j, i := range sub.rel {
-			s := (i + rank) % P
-			p.Memcpy(stage.Slice(j*n, n), recv.Slice(s*n, n))
-		}
 		total := len(sub.rel) * n
-		tag := tagBruck + it.si
-		p.SendRecv(sub.dst, tag, stage.Slice(0, total), sub.src, tag, rstage.Slice(0, total))
+		pl := p.PayloadBuf(total, recv.Real())
 		for j, i := range sub.rel {
 			s := (i + rank) % P
-			p.Memcpy(recv.Slice(s*n, n), rstage.Slice(j*n, n))
+			p.Memcpy(pl.Slice(j*n, n), recv.Slice(s*n, n))
 		}
+		tag := tagBruck + it.si
+		p.SendPayload(sub.dst, tag, pl)
+		in, err := recvStep(p, sub.src, tag, total)
+		if err != nil {
+			p.ClearStep()
+			done()
+			return err
+		}
+		for j, i := range sub.rel {
+			s := (i + rank) % P
+			p.Memcpy(recv.Slice(s*n, n), in.Slice(j*n, n))
+		}
+		p.FreePayload(in)
 	}
 	p.ClearStep()
 	done()

@@ -39,7 +39,7 @@ func checkUniformResult(t *testing.T, recv buffer.Buf, rank, P, n int, label str
 
 func runUniform(t *testing.T, alg Alltoall, P, n int, label string) {
 	t.Helper()
-	w, err := mpi.NewWorld(P, mpi.WithModel(machine.Zero()))
+	w, err := mpi.NewWorld(P, mpi.WithModel(machine.Zero()), mpi.WithTransportChecks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +59,9 @@ func runUniform(t *testing.T, alg Alltoall, P, n int, label string) {
 	})
 	if err != nil {
 		t.Fatalf("%s P=%d n=%d: %v", label, P, n, err)
+	}
+	if out := w.RunStats().Pool.Outstanding(); out != 0 {
+		t.Errorf("%s P=%d n=%d: %d payloads outstanding after the run", label, P, n, out)
 	}
 }
 

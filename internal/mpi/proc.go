@@ -379,7 +379,7 @@ func (p *Proc) FreeBuf(bs ...buffer.Buf) {
 func (p *Proc) Memcpy(dst, src buffer.Buf) int {
 	n := buffer.Copy(dst, src)
 	start := p.now
-	p.now += p.w.model.MemcpyCost(n)
+	p.now += p.w.memcpyCost(n)
 	if p.tr != nil {
 		p.tr.Add(trace.Event{Kind: trace.KindMemcpy, Start: start, Dur: p.now - start,
 			Bytes: n, Peer: -1, Step: p.step, Comm: int(p.grp.ctx)})
@@ -391,7 +391,7 @@ func (p *Proc) Memcpy(dst, src buffer.Buf) int {
 // data; used where the copy itself is implied (e.g. zero-fill padding).
 func (p *Proc) ChargeMemcpy(n int) {
 	start := p.now
-	p.now += p.w.model.MemcpyCost(n)
+	p.now += p.w.memcpyCost(n)
 	if p.tr != nil {
 		p.tr.Add(trace.Event{Kind: trace.KindMemcpy, Start: start, Dur: p.now - start,
 			Bytes: n, Peer: -1, Step: p.step, Comm: int(p.grp.ctx)})

@@ -26,15 +26,64 @@ import (
 // communicator's context id is part of the matching key, so traffic on
 // different communicators — even with identical (src, tag) pairs —
 // can never match each other's receives.
+//
+// Payload hand-off. A message travels in a payload buffer from the
+// world's pool. Send and Recv copy into and out of one; code that packs
+// blocks can skip those copies by packing straight into a payload
+// (PayloadBuf), handing it over (SendPayload), and unpacking straight
+// from the one it receives (RecvPayload) before returning it
+// (FreePayload). Send is PayloadBuf + copy + SendPayload and Recv is
+// RecvPayload + copy + FreePayload, so both paths price, check and
+// trace a message identically.
+
+// PayloadBuf returns an n-byte buffer to pack a message into: a pool
+// buffer with uninitialized contents when real and n > 0, else a
+// phantom or empty one. Its mode should follow the data packed into it,
+// not the world's phantom flag, so real metadata stays real in phantom
+// worlds. Hand it to SendPayload, or return it with FreePayload.
+func (p *Proc) PayloadBuf(n int, real bool) buffer.Buf {
+	if real {
+		return p.w.pool.Get(n)
+	}
+	return buffer.Phantom(n)
+}
+
+// FreePayload returns a payload from PayloadBuf or RecvPayload to the
+// pool; it must not be used afterwards. Phantom and empty payloads are
+// ignored, so callers can free unconditionally.
+func (p *Proc) FreePayload(b buffer.Buf) { p.w.pool.Put(b) }
 
 // Send transmits b to rank dst with the given tag. It does not block on
 // the receiver.
 func (p *Proc) Send(dst, tag int, b buffer.Buf) { p.sendf(dst, tag, b, 1) }
 
+// SendPayload transmits b, a buffer from PayloadBuf, to rank dst with
+// the given tag. The transport adopts b: the caller must not touch it
+// again, even if the call unwinds.
+func (p *Proc) SendPayload(dst, tag int, b buffer.Buf) { p.sendPayloadf(dst, tag, b, 1) }
+
 // sendf is Send with a scale factor on the per-message overhead; the
 // built-in collectives pass the model's collective factor to stand in
-// for hardware-offloaded small collectives.
+// for hardware-offloaded small collectives. The payload is a pool copy
+// of b (eager-send semantics: the caller may reuse b at once); a
+// phantom b yields a phantom payload that carries only its size.
 func (p *Proc) sendf(dst, tag int, b buffer.Buf, f float64) {
+	payload := p.PayloadBuf(b.Len(), b.Real())
+	buffer.Copy(payload, b)
+	p.sendPayloadf(dst, tag, payload, f)
+}
+
+// sendPayloadf prices and enqueues an adopted payload. A panic before
+// the enqueue (a bad peer, this rank's crash, a run abort while parked
+// for credit, an unreachable peer) returns the payload to the pool
+// first, so the pool's outstanding count stays an invariant.
+func (p *Proc) sendPayloadf(dst, tag int, payload buffer.Buf, f float64) {
+	enqueued := false
+	defer func() {
+		if !enqueued {
+			p.FreePayload(payload)
+		}
+	}()
 	p.checkPeer(dst, "send to")
 	if p.w.rel && p.crashed() {
 		p.crashNow()
@@ -47,7 +96,7 @@ func (p *Proc) sendf(dst, tag int, b buffer.Buf, f float64) {
 		// (a rank cannot drain its own inbox while parked on it).
 		s.creditWait(p, gdst)
 	}
-	n := b.Len()
+	n := payload.Len()
 	os, g, l := p.w.model.SendOverhead, p.w.geff, p.w.model.Latency
 	if p.w.SameNode(p.grank, gdst) {
 		os, g, l = p.w.intraOS, p.w.intraG, p.w.intraL
@@ -89,17 +138,6 @@ func (p *Proc) sendf(dst, tag int, b buffer.Buf, f float64) {
 			Bytes: n, Peer: gdst, Tag: tag, Step: p.step, Comm: int(p.grp.ctx)})
 	}
 
-	// Capture the payload. Real payloads are copied into a pool buffer
-	// (eager-send semantics: the caller may reuse b immediately) that the
-	// receiver returns after copy-out, so steady-state traffic recycles
-	// instead of allocating; phantom payloads carry only their size.
-	var payload buffer.Buf
-	if b.Real() && n > 0 {
-		payload = p.w.pool.Get(n)
-		buffer.Copy(payload, b)
-	} else {
-		payload = buffer.Phantom(n)
-	}
 	var sum uint32
 	if p.w.rel {
 		sum = envelopeSum(payload)
@@ -122,6 +160,7 @@ func (p *Proc) sendf(dst, tag int, b buffer.Buf, f float64) {
 		arrival: txDone + l, seq: dp.box.seq,
 		sum: sum, dups: dups,
 	})
+	enqueued = true
 	dp.box.arr = append(dp.box.arr, key)
 	dp.box.qn++
 	if s := p.w.ev; s != nil {
@@ -146,19 +185,42 @@ func (p *Proc) Recv(src, tag int, b buffer.Buf) int {
 	return p.completeRecv(msg, b)
 }
 
+// RecvPayload is Recv without the copy-out: it matches, prices and
+// checks the message exactly as Recv does for a max-byte buffer, and
+// returns the message's payload, which the caller now owns and returns
+// with FreePayload. The payload's length is the message size.
+func (p *Proc) RecvPayload(src, tag, max int) buffer.Buf {
+	p.checkPeer(src, "receive from")
+	msg := p.matchBlocking(p.grp.ctx, src, tag)
+	return p.landf(msg, max, 1)
+}
+
 func (p *Proc) completeRecv(msg message, b buffer.Buf) int { return p.completeRecvf(msg, b, 1) }
 
 func (p *Proc) completeRecvf(msg message, b buffer.Buf, f float64) int {
+	payload := p.landf(msg, b.Len(), f)
+	buffer.Copy(b, payload)
+	p.FreePayload(payload)
+	return msg.size
+}
+
+// landf lands a matched message for a receive of at most max bytes:
+// the crash and truncation checks, the receive pricing, the trace, and
+// the envelope check. It hands back the payload. A crash or truncation
+// returns it to the pool first; a failed envelope check does not, since
+// the corrupted buffer may already be owned twice.
+func (p *Proc) landf(msg message, max int, f float64) buffer.Buf {
 	if p.w.rel && p.crashed() {
 		// The rank's clock passed its death time before it could land
 		// this message; return the payload so the pool's outstanding
 		// count stays an invariant, then unwind as a crash.
-		p.w.pool.Put(msg.payload)
+		p.FreePayload(msg.payload)
 		p.crashNow()
 	}
-	if msg.size > b.Len() {
+	if msg.size > max {
+		p.FreePayload(msg.payload)
 		panic(fmt.Sprintf("mpi: rank %d: message from %d tag %d truncated: %d bytes into %d-byte buffer",
-			p.rank, msg.src, msg.tag, msg.size, b.Len()))
+			p.rank, msg.src, msg.tag, msg.size, max))
 	}
 	or, g := p.w.model.RecvOverhead, p.w.geff
 	if p.w.SameNode(p.grank, msg.gsrc) {
@@ -209,9 +271,7 @@ func (p *Proc) completeRecvf(msg message, b buffer.Buf, f float64) int {
 				Bytes: msg.size, Peer: msg.gsrc, Tag: msg.tag, Step: p.step, Comm: int(msg.ctx)})
 		}
 	}
-	buffer.Copy(b, msg.payload)
-	p.w.pool.Put(msg.payload)
-	return msg.size
+	return msg.payload
 }
 
 // faultName labels a fault event by its perturbation sources.
@@ -568,10 +628,13 @@ func (p *Proc) Waitall(rs []*Request) error {
 	p.wkeys = p.wkeys[:0]
 	sort.Sort(&p.pend)
 	for i := range p.pend {
-		pd := &p.pend[i]
+		// Clear the entry before landing it: a landing that unwinds has
+		// returned its own payload, and the end-of-run sweep returns
+		// those of the entries after it.
+		pd := p.pend[i]
+		p.pend[i] = pendingMatch{}
 		pd.req.size = p.completeRecv(pd.msg, pd.req.buf)
 		pd.req.done = true
-		*pd = pendingMatch{}
 	}
 	p.pend = p.pend[:0]
 	return nil
@@ -588,7 +651,7 @@ func (p *Proc) SendRecv(dst, stag int, sbuf buffer.Buf, src, rtag int, rbuf buff
 // sendRecvColl is the collective-internal SendRecv: both sides are
 // charged overheads scaled by the model's collective factor.
 func (p *Proc) sendRecvColl(dst, stag int, sbuf buffer.Buf, src, rtag int, rbuf buffer.Buf) int {
-	f := p.w.model.CollFactor()
+	f := p.w.collFactor
 	p.sendf(dst, stag, sbuf, f)
 	msg := p.matchBlocking(p.grp.ctx, src, rtag)
 	return p.completeRecvf(msg, rbuf, f)
@@ -596,11 +659,11 @@ func (p *Proc) sendRecvColl(dst, stag int, sbuf buffer.Buf, src, rtag int, rbuf 
 
 // sendColl / recvColl are the collective-internal one-way transfers.
 func (p *Proc) sendColl(dst, tag int, b buffer.Buf) {
-	p.sendf(dst, tag, b, p.w.model.CollFactor())
+	p.sendf(dst, tag, b, p.w.collFactor)
 }
 
 func (p *Proc) recvColl(src, tag int, b buffer.Buf) int {
 	p.checkPeer(src, "receive from")
 	msg := p.matchBlocking(p.grp.ctx, src, tag)
-	return p.completeRecvf(msg, b, p.w.model.CollFactor())
+	return p.completeRecvf(msg, b, p.w.collFactor)
 }

@@ -104,6 +104,11 @@ type World struct {
 	// intra-node cost parameters (see machine.Model.IntraParams)
 	intraOS, intraOR, intraL, intraG float64
 
+	// memcpy cost terms and the collective overhead factor, cached so
+	// the per-copy and per-message paths read floats instead of copying
+	// the model (see machine.Model.MemcpyCost and CollFactor)
+	memcpyFixed, memcpyByte, collFactor float64
+
 	// Session state, created lazily by the first Run and resident until
 	// Close: the world-communicator group, the per-rank handles (whose
 	// procState persists across runs), and one parked worker goroutine
@@ -279,11 +284,22 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 		}
 	}
 	w.geff = w.model.EffectiveByteTime(size)
+	w.memcpyFixed, w.memcpyByte = w.model.MemcpyFixed, w.model.MemcpyByte
+	w.collFactor = w.model.CollFactor()
 	w.intraOS, w.intraOR, w.intraL, w.intraG = w.model.IntraParams()
 	if w.checks {
 		w.pool.SetDebug(true)
 	}
 	return w, nil
+}
+
+// memcpyCost is machine.Model.MemcpyCost over the cached terms: the
+// same expression, so charged times are bit-identical.
+func (w *World) memcpyCost(n int) float64 {
+	if n <= 0 {
+		return 0
+	}
+	return w.memcpyFixed + float64(n)*w.memcpyByte
 }
 
 // Faults returns the world's active fault plan and whether one is
@@ -703,6 +719,13 @@ func (w *World) sweepInboxes() {
 			q.msgs = q.msgs[:0]
 			q.head = 0
 		}
+		// A rank that unwound inside Waitall's completion pass leaves
+		// matched messages it never landed.
+		for i := range p.pend {
+			w.pool.Put(p.pend[i].msg.payload)
+			p.pend[i] = pendingMatch{}
+		}
+		p.pend = p.pend[:0]
 		for i := range p.box.parked {
 			p.box.parked[i] = nil
 		}

@@ -11,6 +11,7 @@
 package ra
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"bruckv/internal/buffer"
@@ -99,6 +100,10 @@ type Exchanger struct {
 	// LastMaxBlock is the global maximum block size (bytes) of the most
 	// recent exchange — the N that Figure 12 plots per iteration.
 	LastMaxBlock int
+
+	// sc, sd, rc, rd are the exchange's send and receive counts and
+	// displacements, reused across calls.
+	sc, sd, rc, rd []int
 }
 
 // NewExchanger builds an exchanger for rank p using the given algorithm
@@ -120,36 +125,44 @@ func (e *Exchanger) Exchange(out [][]Tuple) ([]Tuple, error) {
 		return nil, fmt.Errorf("ra: Exchange needs %d destination lists, got %d", P, len(out))
 	}
 	t0 := e.p.Now()
-	sc := make([]int, P)
+	if len(e.sc) != P {
+		ints := make([]int, 4*P)
+		e.sc, e.sd, e.rc, e.rd = ints[:P], ints[P:2*P], ints[2*P:3*P], ints[3*P:]
+	}
+	sc, sd, rc, rd := e.sc, e.sd, e.rc, e.rd
 	for d, ts := range out {
 		sc[d] = len(ts) * TupleBytes
 	}
-	rc := make([]int, P)
 	if err := coll.CountsExchange(e.p, sc, rc); err != nil {
 		return nil, err
 	}
-	sd, sTotal := coll.ContigDispls(sc)
-	rd, rTotal := coll.ContigDispls(rc)
+	sTotal, rTotal := 0, 0
+	for i := range sc {
+		sd[i], rd[i] = sTotal, rTotal
+		sTotal += sc[i]
+		rTotal += rc[i]
+	}
 
-	send := buffer.New(sTotal)
+	// Tuples travel as eight little-endian uint32 columns each.
+	sb := make([]byte, sTotal)
 	for d, ts := range out {
-		off := sd[d]
+		b := sb[sd[d]:]
 		for _, t := range ts {
-			for c := 0; c < 8; c++ {
-				send.PutUint32(off+4*c, uint32(t[c]))
+			for c, v := range t {
+				binary.LittleEndian.PutUint32(b[4*c:], uint32(v))
 			}
-			off += TupleBytes
+			b = b[TupleBytes:]
 		}
 	}
-	recv := buffer.New(rTotal)
-	if err := e.alg(e.p, send, sc, sd, recv, rc, rd); err != nil {
+	rb := make([]byte, rTotal)
+	if err := e.alg(e.p, buffer.FromBytes(sb), sc, sd, buffer.FromBytes(rb), rc, rd); err != nil {
 		return nil, err
 	}
 	in := make([]Tuple, rTotal/TupleBytes)
 	for i := range in {
-		off := i * TupleBytes
-		for c := 0; c < 8; c++ {
-			in[i][c] = int32(recv.Uint32(off + 4*c))
+		b := rb[i*TupleBytes:]
+		for c := range in[i] {
+			in[i][c] = int32(binary.LittleEndian.Uint32(b[4*c:]))
 		}
 	}
 	maxBlock := 0

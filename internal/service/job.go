@@ -2,6 +2,7 @@ package service
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 
@@ -189,20 +190,27 @@ func (js jobSpec) payloadBound() int64 {
 }
 
 // fillBlock writes the deterministic payload of the (src, dst) block:
-// a splitmix64 byte stream keyed by (seed, src, dst). Sender and
-// verifier compute identical bytes without communicating.
+// a splitmix64 byte stream keyed by (seed, src, dst), each output word
+// stored little-endian. Sender and verifier compute identical bytes
+// without communicating.
 func fillBlock(seed uint64, src, dst int, b []byte) {
 	x := seed ^ 0x9e3779b97f4a7c15*uint64(src+1) ^ 0xbf58476d1ce4e5b9*uint64(dst+1)
-	var h uint64
-	for i := range b {
-		if i%8 == 0 {
-			x += 0x9e3779b97f4a7c15
-			h = x
-			h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-			h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-			h ^= h >> 31
+	next := func() uint64 {
+		x += 0x9e3779b97f4a7c15
+		h := x
+		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+		return h ^ h>>31
+	}
+	for len(b) >= 8 {
+		binary.LittleEndian.PutUint64(b, next())
+		b = b[8:]
+	}
+	if len(b) > 0 {
+		h := next()
+		for i := range b {
+			b[i] = byte(h >> (8 * i))
 		}
-		b[i] = byte(h >> (8 * (i % 8)))
 	}
 }
 
