@@ -54,6 +54,10 @@
 // additionally records the report as JSON (BENCH_hostperf.json in this
 // repository). Host performance is observational: virtual timings are
 // bit-identical with or without it.
+//
+// -cpuprofile and -memprofile write a CPU profile and an allocation
+// profile of the whole run, for `go tool pprof`; they do not change the
+// output.
 package main
 
 import (
@@ -61,6 +65,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -96,8 +102,22 @@ func main() {
 		hpOut    = flag.String("hostperf-out", "", "also write the -fig hostperf report as JSON to this file")
 		execName = flag.String("executor", "goroutines", "runtime execution backend: goroutines or events")
 		scaleMax = flag.Int("scale-max", 262144, "largest process count of the -fig scale log-collective sweep")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProf  = flag.String("memprofile", "", "write an allocation profile of the whole run to this file on exit")
 	)
 	flag.Parse()
+	if *cpuProf != "" {
+		fh, err := os.Create(*cpuProf)
+		check(err)
+		check(pprof.StartCPUProfile(fh))
+		defer func() {
+			pprof.StopCPUProfile()
+			check(fh.Close())
+		}()
+	}
+	if *memProf != "" {
+		defer writeMemProfile(*memProf)
+	}
 
 	model, ok := machine.Presets()[*mach]
 	if !ok {
@@ -380,6 +400,16 @@ func parseInts(s string) []int {
 		out = append(out, v)
 	}
 	return out
+}
+
+// writeMemProfile writes the allocation profile (what `go test
+// -memprofile` writes) after a collection, so it is current.
+func writeMemProfile(path string) {
+	fh, err := os.Create(path)
+	check(err)
+	runtime.GC()
+	check(pprof.Lookup("allocs").WriteTo(fh, 0))
+	check(fh.Close())
 }
 
 func check(err error) {

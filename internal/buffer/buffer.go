@@ -10,7 +10,10 @@
 // is what makes the phantom mode faithful for performance simulation.
 package buffer
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Buf is a fixed-length byte buffer, real or phantom. The zero value is
 // an empty real buffer.
@@ -80,8 +83,8 @@ func (b Buf) Bytes() []byte {
 // zero-length slice of a phantom buffer is a zero-length real buffer,
 // per the Real convention that zero-length buffers carry no mode.
 func (b Buf) Slice(off, n int) Buf {
-	if off < 0 || n < 0 || off+n > b.n {
-		panic(fmt.Sprintf("buffer: slice [%d:%d) out of range of %d-byte buffer", off, off+n, b.n))
+	if uint(off) > uint(b.n) || uint(n) > uint(b.n-off) {
+		panic(rangeError{op: "slice", off: off, n: n, size: b.n})
 	}
 	if b.data == nil {
 		return Buf{n: n}
@@ -189,60 +192,68 @@ func (b Buf) FillPattern(seed uint64) {
 	}
 }
 
+// The fixed-width accessors below sit on every algorithm's metadata
+// path, so they are kept within the compiler's inlining budget: one
+// unsigned range check each, and a rangeError panic value that is
+// formatted only if it is printed.
+
 // PutUint32 stores a little-endian uint32 at byte offset off. Stores into
 // phantom buffers are dropped.
 func (b Buf) PutUint32(off int, v uint32) {
-	if off < 0 || off+4 > b.n {
-		panic(fmt.Sprintf("buffer: PutUint32 at %d out of range of %d-byte buffer", off, b.n))
+	if uint(off) >= uint(b.n) || b.n-off < 4 {
+		panic(rangeError{op: "PutUint32", off: off, size: b.n})
 	}
-	if b.data == nil {
-		return
+	if b.data != nil {
+		binary.LittleEndian.PutUint32(b.data[off:], v)
 	}
-	b.data[off] = byte(v)
-	b.data[off+1] = byte(v >> 8)
-	b.data[off+2] = byte(v >> 16)
-	b.data[off+3] = byte(v >> 24)
 }
 
 // Uint32 loads a little-endian uint32 from byte offset off. Phantom
 // buffers read as zero.
 func (b Buf) Uint32(off int) uint32 {
-	if off < 0 || off+4 > b.n {
-		panic(fmt.Sprintf("buffer: Uint32 at %d out of range of %d-byte buffer", off, b.n))
+	if uint(off) >= uint(b.n) || b.n-off < 4 {
+		panic(rangeError{op: "Uint32", off: off, size: b.n})
 	}
 	if b.data == nil {
 		return 0
 	}
-	return uint32(b.data[off]) | uint32(b.data[off+1])<<8 |
-		uint32(b.data[off+2])<<16 | uint32(b.data[off+3])<<24
+	return binary.LittleEndian.Uint32(b.data[off:])
 }
 
 // PutUint64 stores a little-endian uint64 at byte offset off. Stores into
 // phantom buffers are dropped.
 func (b Buf) PutUint64(off int, v uint64) {
-	if off < 0 || off+8 > b.n {
-		panic(fmt.Sprintf("buffer: PutUint64 at %d out of range of %d-byte buffer", off, b.n))
+	if uint(off) >= uint(b.n) || b.n-off < 8 {
+		panic(rangeError{op: "PutUint64", off: off, size: b.n})
 	}
-	if b.data == nil {
-		return
-	}
-	for i := 0; i < 8; i++ {
-		b.data[off+i] = byte(v >> (8 * i))
+	if b.data != nil {
+		binary.LittleEndian.PutUint64(b.data[off:], v)
 	}
 }
 
 // Uint64 loads a little-endian uint64 from byte offset off. Phantom
 // buffers read as zero.
 func (b Buf) Uint64(off int) uint64 {
-	if off < 0 || off+8 > b.n {
-		panic(fmt.Sprintf("buffer: Uint64 at %d out of range of %d-byte buffer", off, b.n))
+	if uint(off) >= uint(b.n) || b.n-off < 8 {
+		panic(rangeError{op: "Uint64", off: off, size: b.n})
 	}
 	if b.data == nil {
 		return 0
 	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b.data[off+i]) << (8 * i)
+	return binary.LittleEndian.Uint64(b.data[off:])
+}
+
+// rangeError is the panic value of an out-of-range Slice or fixed-width
+// access: op names the access, off and n the requested range (n unused
+// by the fixed-width accessors), size the buffer length.
+type rangeError struct {
+	op           string
+	off, n, size int
+}
+
+func (e rangeError) Error() string {
+	if e.op == "slice" {
+		return fmt.Sprintf("buffer: slice [%d:%d) out of range of %d-byte buffer", e.off, e.off+e.n, e.size)
 	}
-	return v
+	return fmt.Sprintf("buffer: %s at %d out of range of %d-byte buffer", e.op, e.off, e.size)
 }

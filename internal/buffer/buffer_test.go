@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -287,4 +288,49 @@ func TestCopyMixedModes(t *testing.T) {
 	if n := Copy(Phantom(2), Phantom(8)); n != 2 {
 		t.Errorf("phantom->phantom: n=%d, want 2", n)
 	}
+}
+
+// TestAccessorPanicMessages pins the out-of-range panics of the
+// inlinable accessors byte for byte to the text they printed when they
+// panicked with a formatted string: the panic value is now a rangeError,
+// formatted only when printed.
+func TestAccessorPanicMessages(t *testing.T) {
+	real, phantom := New(8), Phantom(8)
+	for _, c := range []struct {
+		name string
+		f    func()
+		want string
+	}{
+		{"Slice past end", func() { real.Slice(6, 4) }, "buffer: slice [6:10) out of range of 8-byte buffer"},
+		{"Slice negative off", func() { real.Slice(-1, 2) }, "buffer: slice [-1:1) out of range of 8-byte buffer"},
+		{"Slice negative n", func() { phantom.Slice(2, -1) }, "buffer: slice [2:1) out of range of 8-byte buffer"},
+		{"Slice off past end", func() { real.Slice(9, 0) }, "buffer: slice [9:9) out of range of 8-byte buffer"},
+		{"Uint32", func() { real.Uint32(5) }, "buffer: Uint32 at 5 out of range of 8-byte buffer"},
+		{"Uint32 negative", func() { phantom.Uint32(-4) }, "buffer: Uint32 at -4 out of range of 8-byte buffer"},
+		{"PutUint32", func() { real.PutUint32(8, 1) }, "buffer: PutUint32 at 8 out of range of 8-byte buffer"},
+		{"PutUint32 empty", func() { New(0).PutUint32(0, 1) }, "buffer: PutUint32 at 0 out of range of 0-byte buffer"},
+		{"Uint64", func() { real.Uint64(1) }, "buffer: Uint64 at 1 out of range of 8-byte buffer"},
+		{"PutUint64", func() { phantom.PutUint64(-1, 1) }, "buffer: PutUint64 at -1 out of range of 8-byte buffer"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				v := recover()
+				err, ok := v.(error)
+				if !ok {
+					t.Fatalf("panic value %#v is not an error", v)
+				}
+				if got := err.Error(); got != c.want {
+					t.Errorf("panic prints %q, want %q", got, c.want)
+				}
+				if got := fmt.Sprint(v); got != c.want {
+					t.Errorf("panic value formats as %q, want %q", got, c.want)
+				}
+			}()
+			c.f()
+		})
+	}
+	// The boundaries themselves are in range.
+	real.Slice(8, 0)
+	real.PutUint32(4, 1)
+	_ = real.Uint64(0)
 }

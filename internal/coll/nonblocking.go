@@ -43,12 +43,20 @@ func IAlltoallv(p *mpi.Proc, alg Alltoallv, send buffer.Buf, scounts, sdispls []
 	if err := checkV(p, send, scounts, sdispls, recv, rcounts, rdispls); err != nil {
 		return nil, err
 	}
-	sc := append([]int(nil), scounts...)
-	sd := append([]int(nil), sdispls...)
-	rc := append([]int(nil), rcounts...)
-	rd := append([]int(nil), rdispls...)
+	// The copies share one slice of the rank's int scratch, held until
+	// Wait has run the exchange.
+	P := p.Size()
+	args := p.AllocInts(4 * P)
+	copy(args, scounts)
+	copy(args[P:], sdispls)
+	copy(args[2*P:], rcounts)
+	copy(args[3*P:], rdispls)
 	r := &VRequest{p: p, mark: p.MarkOverlap()}
-	r.run = func() error { return alg(p, send, sc, sd, recv, rc, rd) }
+	r.run = func() error {
+		err := alg(p, send, args[:P:P], args[P:2*P:2*P], recv, args[2*P:3*P:3*P], args[3*P:])
+		p.FreeInts(args)
+		return err
+	}
 	return r, nil
 }
 

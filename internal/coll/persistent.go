@@ -14,12 +14,13 @@ var ErrHandleFreed = errors.New("persistent handle used after Free")
 
 // persistentHandle is the shell every persistent handle (Alltoallv and
 // the three families) shares: the scratch pinned from the rank's arena
-// for the handle's lifetime, and the execution count.
+// and int scratch for the handle's lifetime, and the execution count.
 type persistentHandle struct {
-	p        *mpi.Proc
-	pinned   []buffer.Buf
-	executed int
-	released bool
+	p          *mpi.Proc
+	pinned     []buffer.Buf
+	pinnedInts []int
+	executed   int
+	released   bool
 }
 
 // Executions returns how many times the handle has started.
@@ -35,7 +36,8 @@ func (h *persistentHandle) Free() {
 	}
 	h.released = true
 	h.p.FreeBuf(h.pinned...)
-	h.pinned = nil
+	h.p.FreeInts(h.pinnedInts)
+	h.pinned, h.pinnedInts = nil, nil
 }
 
 // pin takes an n-byte buffer from the rank's arena for the handle's
@@ -184,13 +186,14 @@ func alltoallvInitWithMax(p *mpi.Proc, r, n int, scounts, sdispls, rcounts, rdis
 	}
 	h.st.init(p, r, n, scounts)
 	h.pinned = append(h.pinned, h.st.w, h.st.meta, h.st.rmeta)
+	h.pinnedInts = h.st.ints
 	blocks := 0
 	for si := range h.sched.steps {
 		blocks += len(h.sched.steps[si].rel)
 	}
 	h.rec = twoPhaseRecord{
 		out:      make([]int32, 0, blocks),
-		fromW:    make([]bool, 0, blocks),
+		from:     make([]int, 0, blocks),
 		in:       make([]int32, 0, blocks),
 		outTotal: make([]int, 0, len(h.sched.steps)),
 		inTotal:  make([]int, 0, len(h.sched.steps)),
@@ -247,7 +250,7 @@ func (h *PersistentV) Start(send, recv buffer.Buf) error {
 	// Start each recording from the layout, so a Start that failed
 	// part-way leaves nothing behind.
 	h.st.reset(h.scounts)
-	h.rec = twoPhaseRecord{out: h.rec.out[:0], fromW: h.rec.fromW[:0], in: h.rec.in[:0],
+	h.rec = twoPhaseRecord{out: h.rec.out[:0], from: h.rec.from[:0], in: h.rec.in[:0],
 		outTotal: h.rec.outTotal[:0], inTotal: h.rec.inTotal[:0]}
 	if err := h.st.exchange(p, send, h.sdispls, recv, h.rcounts, h.rdispls, &h.rec); err != nil {
 		return err
@@ -262,24 +265,21 @@ func (h *PersistentV) Start(send, recv buffer.Buf) error {
 // metadata travels and no sizes are recomputed.
 func (h *PersistentV) startFrozen(send, recv buffer.Buf) {
 	p := h.p
-	P := p.Size()
-	rank := h.sched.rank
-	st, rec := &h.st, &h.rec
-	real := send.Real() && st.w.Real()
+	w, rec := h.st.w, &h.rec
+	real := send.Real() && w.Real()
 	b := 0 // the record's index of the sub-step's first block
 	for si := range h.sched.steps {
 		sub := &h.sched.steps[si]
 		p.SetStep(si)
 		pl := p.PayloadBuf(rec.outTotal[si], real)
 		off := 0
-		for j, i := range sub.rel {
-			s := (i + rank) % P
+		for j, s := range sub.slot {
 			sz := int(rec.out[b+j])
 			var blk buffer.Buf
-			if rec.fromW[b+j] {
-				blk = st.w.Slice(s*h.n, sz)
+			if o := rec.from[b+j]; o < 0 {
+				blk = w.Slice(s*h.n, sz)
 			} else {
-				blk = send.Slice(h.sdispls[st.idx[s]], sz)
+				blk = send.Slice(o, sz)
 			}
 			p.Memcpy(pl.Slice(off, sz), blk)
 			off += sz
@@ -288,17 +288,16 @@ func (h *PersistentV) startFrozen(send, recv buffer.Buf) {
 		p.SendPayload(sub.dst, dtag, pl)
 		in := p.RecvPayload(sub.src, dtag, rec.inTotal[si])
 		roff := 0
-		for j, i := range sub.rel {
-			s := (i + rank) % P
+		for j, s := range sub.slot {
 			sz := int(rec.in[b+j])
 			if j < sub.final {
 				p.Memcpy(recv.Slice(h.rdispls[s], sz), in.Slice(roff, sz))
 			} else {
-				p.Memcpy(st.w.Slice(s*h.n, sz), in.Slice(roff, sz))
+				p.Memcpy(w.Slice(s*h.n, sz), in.Slice(roff, sz))
 			}
 			roff += sz
 		}
 		p.FreePayload(in)
-		b += len(sub.rel)
+		b += len(sub.slot)
 	}
 }

@@ -52,6 +52,25 @@ func digitSlots(dst []int, P, r, k, d int) []int {
 	return dst
 }
 
+// rotatedStart and rotatedNext step through the rotation index shared
+// by the Bruck variants that skip the initial rotation: slot s starts
+// out holding send block (2·rank − s) mod P. rotatedStart returns the
+// block for slot 0 and rotatedNext the block for the slot after the one
+// holding b, so a pass over every slot divides nothing.
+func rotatedStart(rank, P int) int {
+	if b := 2 * rank; b < P {
+		return b
+	}
+	return 2*rank - P
+}
+
+func rotatedNext(b, P int) int {
+	if b == 0 {
+		return P - 1
+	}
+	return b - 1
+}
+
 // maxDigitBlocks returns the largest number of blocks any (position,
 // digit) sub-step transmits — the staging bound. The top digit position
 // can carry up to P-step blocks, so ceil(P/r) is not enough. At r=2 it
@@ -85,11 +104,11 @@ func ZeroRotationBruckRadix(r int) Alltoall {
 // communication pattern (no final rotation) driven by SLOAV's rotation
 // index array (no initial rotation). A block is fetched from the send
 // buffer through the index on its first transmission and from the
-// receive buffer afterwards, tracked by a status array. Each step packs
-// straight into the payload it sends and unpacks from the one it
-// receives; payloads are real when send and recv, the buffers packed
-// from, are, so real count bytes stay real in a phantom world
-// (CountsExchange).
+// receive buffer afterwards, which the index records by turning the
+// slot's entry to -1. Each step packs straight into the payload it
+// sends and unpacks from the one it receives; payloads are real when
+// send and recv, the buffers packed from, are, so real count bytes stay
+// real in a phantom world (CountsExchange).
 func zeroRotation(p *mpi.Proc, r int, send buffer.Buf, n int, recv buffer.Buf) error {
 	if err := checkUniform(p, send, n, recv); err != nil {
 		return err
@@ -97,18 +116,21 @@ func zeroRotation(p *mpi.Proc, r int, send buffer.Buf, n int, recv buffer.Buf) e
 	P := p.Size()
 	rank := p.Rank()
 
-	// Rotation index array: idx[s] is where slot s's initial block lives
-	// in the send buffer. Cost O(P), not O(P*n).
+	// Rotation index: src[s] is the send-buffer offset of slot s's
+	// initial block, or -1 once the slot's block has arrived in recv.
+	// Cost O(P), not O(P*n). The index and the walk's lists are the
+	// rank's resident int scratch.
 	maxB := maxDigitBlocks(P, r)
-	ints := make([]int, P+maxB)
-	idx, rel := ints[:P], ints[P:P]
-	for s := range idx {
-		idx[s] = ((2*rank-s)%P + P) % P
+	ints := p.AllocInts(P + 2*maxB)
+	defer p.FreeInts(ints)
+	src := ints[:P]
+	for s, b := 0, rotatedStart(rank, P); s < P; s, b = s+1, rotatedNext(b, P) {
+		src[s] = b * n
 	}
 	p.Charge(float64(P)) // ~1ns per index entry
 
 	// Self block goes straight to its final position.
-	p.Memcpy(recv.Slice(rank*n, n), send.Slice(idx[rank]*n, n))
+	p.Memcpy(recv.Slice(rank*n, n), send.Slice(src[rank], n))
 	if P == 1 {
 		return nil
 	}
@@ -116,20 +138,18 @@ func zeroRotation(p *mpi.Proc, r int, send buffer.Buf, n int, recv buffer.Buf) e
 	done := p.Phase(PhaseComm)
 	defer done()
 	defer p.ClearStep()
-	status := make([]bool, P)
 	real := send.Real() && recv.Real()
-	for it := newRadixWalk(P, rank, r, rel); it.next(); {
+	for it := newRadixWalk(P, rank, r, ints[P:P:P+maxB], ints[P+maxB:P+maxB]); it.next(); {
 		sub := &it.st
 		p.SetStep(it.si)
-		total := len(sub.rel) * n
+		total := len(sub.slot) * n
 		pl := p.PayloadBuf(total, real)
-		for j, i := range sub.rel {
-			s := (i + rank) % P
+		for j, s := range sub.slot {
 			var blk buffer.Buf
-			if status[s] {
+			if o := src[s]; o < 0 {
 				blk = recv.Slice(s*n, n)
 			} else {
-				blk = send.Slice(idx[s]*n, n)
+				blk = send.Slice(o, n)
 			}
 			p.Memcpy(pl.Slice(j*n, n), blk)
 		}
@@ -139,10 +159,9 @@ func zeroRotation(p *mpi.Proc, r int, send buffer.Buf, n int, recv buffer.Buf) e
 		if err != nil {
 			return err
 		}
-		for j, i := range sub.rel {
-			s := (i + rank) % P
+		for j, s := range sub.slot {
 			p.Memcpy(recv.Slice(s*n, n), in.Slice(j*n, n))
-			status[s] = true
+			src[s] = -1
 		}
 		p.FreePayload(in)
 	}

@@ -30,7 +30,7 @@ func TestDigitSlotsPartition(t *testing.T) {
 	for _, P := range []int{7, 16, 27, 30} {
 		for _, r := range []int{2, 3, 4, 5} {
 			count := make([]int, P)
-			for it := newRadixWalk(P, 0, r, nil); it.next(); {
+			for it := newRadixWalk(P, 0, r, nil, nil); it.next(); {
 				if n, bound := len(it.st.rel), maxDigitBlocks(P, r); n > bound {
 					t.Errorf("P=%d r=%d step %d: %d blocks exceed maxDigitBlocks %d", P, r, it.si, n, bound)
 				}

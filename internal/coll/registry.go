@@ -41,11 +41,16 @@ func NonUniformAlgorithms() map[string]Alltoallv {
 	}
 }
 
+// nonUniformTable is the registry ResolveNonUniform reads, built once:
+// its implementations hold no state, and the facade resolves on every
+// call.
+var nonUniformTable = NonUniformAlgorithms()
+
 // ResolveNonUniform resolves an Alltoallv by name, accepting both the
 // fixed registry names and parameterized radix names ("two-phase-r<r>"
 // for any r >= 2) that have no registry entry.
 func ResolveNonUniform(name string) (Alltoallv, bool) {
-	if impl, ok := NonUniformAlgorithms()[name]; ok {
+	if impl, ok := nonUniformTable[name]; ok {
 		return impl, true
 	}
 	if r, ok := RadixOfName(name); ok {

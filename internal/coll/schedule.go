@@ -23,8 +23,10 @@ type schedStep struct {
 	// from src.
 	dst, src int
 	// rel lists the relative slot indices in [1, P) moved this step
-	// (those whose k-th base-r digit equals d), increasing.
-	rel []int
+	// (those whose k-th base-r digit equals d), increasing; slot lists
+	// the same slots rotated to absolute ones, slot[j] = (rel[j] +
+	// rank) mod P, which is where the step loops keep their blocks.
+	rel, slot []int
 	// final counts the leading rel entries that are on their last hop:
 	// the slots below step·r, whose k-th digit is their highest nonzero
 	// one.
@@ -41,9 +43,10 @@ type schedule struct {
 // each step. It is pure local computation; the caller prices it.
 func buildRadixSchedule(P, rank, r int) *schedule {
 	sc := &schedule{rank: rank, r: r}
-	for it := newRadixWalk(P, rank, r, nil); it.next(); {
+	for it := newRadixWalk(P, rank, r, nil, nil); it.next(); {
 		st := it.st
 		st.rel = append([]int(nil), st.rel...)
+		st.slot = append([]int(nil), st.slot...)
 		sc.steps = append(sc.steps, st)
 	}
 	return sc
@@ -53,11 +56,13 @@ func buildRadixSchedule(P, rank, r int) *schedule {
 // per (position, digit) pair, where the blocks whose k-th base-r digit
 // equals d travel to the rank at distance d·r^k.
 //
-//	for it := newRadixWalk(P, rank, r, rel); it.next(); {
+//	rel, slot := walkScratch(P, r)
+//	for it := newRadixWalk(P, rank, r, rel, slot); it.next(); {
 //		// it.si is the running step index, it.st the step
 //	}
 //
-// The walk reuses st (and the rel scratch it was given) between steps.
+// The walk reuses st (and the rel and slot scratch it was given)
+// between steps.
 type radixWalk struct {
 	P, rank, r int
 	k          int // digit position of st
@@ -65,11 +70,19 @@ type radixWalk struct {
 	st         schedStep
 }
 
-// newRadixWalk starts a walk positioned before its first step. rel is
-// scratch for the block lists; with capacity maxDigitBlocks(P, r) the
-// walk never allocates.
-func newRadixWalk(P, rank, r int, rel []int) radixWalk {
-	return radixWalk{P: P, rank: rank, r: r, si: -1, st: schedStep{step: 1, rel: rel[:0]}}
+// newRadixWalk starts a walk positioned before its first step. rel and
+// slot are scratch for the block lists; with capacity maxDigitBlocks(P,
+// r) each the walk never allocates.
+func newRadixWalk(P, rank, r int, rel, slot []int) radixWalk {
+	return radixWalk{P: P, rank: rank, r: r, si: -1, st: schedStep{step: 1, rel: rel[:0], slot: slot[:0]}}
+}
+
+// walkScratch returns rel and slot scratch with which a radix-r walk
+// over P ranks never allocates.
+func walkScratch(P, r int) (rel, slot []int) {
+	m := maxDigitBlocks(P, r)
+	buf := make([]int, 2*m)
+	return buf[:0:m], buf[m:m]
 }
 
 // next advances to the following step, reporting false after the last.
@@ -84,6 +97,14 @@ func (it *radixWalk) next() bool {
 	}
 	it.si++
 	st.rel = digitSlots(st.rel, it.P, it.r, it.k, st.d)
+	st.slot = st.slot[:0]
+	for _, i := range st.rel {
+		s := i + it.rank // < 2P, so one subtraction rotates it
+		if s >= it.P {
+			s -= it.P
+		}
+		st.slot = append(st.slot, s)
+	}
 	st.dst = (it.rank - st.d*st.step%it.P + it.P) % it.P
 	st.src = (it.rank + st.d*st.step) % it.P
 	st.final = 0

@@ -45,7 +45,7 @@ func runDifferential(t *testing.T, alg, oracle Alltoallv, P, maxN int, seed uint
 // fix targets.
 func oldRadixTags(P, r int) (meta, data []int) {
 	const tagMetaOld, tagDataOld = 200, 220
-	for it := newRadixWalk(P, 0, r, nil); it.next(); {
+	for it := newRadixWalk(P, 0, r, nil, nil); it.next(); {
 		meta = append(meta, tagMetaOld+it.k*16+it.st.d)
 		data = append(data, tagDataOld+it.k*16+it.st.d)
 	}
@@ -103,7 +103,7 @@ func TestRadixSubTagsInjective(t *testing.T) {
 	for _, P := range []int{2, 7, 40, 100, 257} {
 		for _, r := range []int{2, 3, 6, 16, 17, 18, 31} {
 			seen := map[int]string{}
-			for it := newRadixWalk(P, 0, r, nil); it.next(); {
+			for it := newRadixWalk(P, 0, r, nil, nil); it.next(); {
 				si := it.si
 				for _, tg := range []int{tagRadixUniform + si, tagRadixMeta + si, tagRadixData + si} {
 					at := fmt.Sprintf("sub %d (step %d, d %d)", si, it.st.step, it.st.d)
@@ -125,12 +125,13 @@ func TestBuildScheduleMatchesIterator(t *testing.T) {
 		for _, rank := range []int{0, P / 2, P - 1} {
 			for _, r := range []int{2, 3, 7, 17} {
 				var live []schedStep
-				for it := newRadixWalk(P, rank, r, nil); it.next(); {
+				for it := newRadixWalk(P, rank, r, nil, nil); it.next(); {
 					if it.si != len(live) {
 						t.Fatalf("P=%d r=%d: walk index %d at step %d", P, r, it.si, len(live))
 					}
 					st := it.st
 					st.rel = append([]int(nil), st.rel...)
+					st.slot = append([]int(nil), st.slot...)
 					live = append(live, st)
 				}
 				sc := buildRadixSchedule(P, rank, r)
@@ -141,7 +142,8 @@ func TestBuildScheduleMatchesIterator(t *testing.T) {
 				for si, sub := range live {
 					got := sc.steps[si]
 					if got.step != sub.step || got.d != sub.d || got.dst != sub.dst || got.src != sub.src ||
-						got.final != sub.final || fmt.Sprint(got.rel) != fmt.Sprint(sub.rel) {
+						got.final != sub.final || fmt.Sprint(got.rel) != fmt.Sprint(sub.rel) ||
+						fmt.Sprint(got.slot) != fmt.Sprint(sub.slot) {
 						t.Errorf("P=%d r=%d rank=%d step %d: schedule %+v != walk %+v", P, r, rank, si, got, sub)
 					}
 				}
@@ -151,20 +153,58 @@ func TestBuildScheduleMatchesIterator(t *testing.T) {
 }
 
 // TestRadixWalkAllocationFree pins the reason the radix walk is an
-// iterator: given scratch of maxDigitBlocks capacity, walking a whole
-// schedule allocates nothing.
+// iterator: given rel and slot scratch of maxDigitBlocks capacity,
+// walking a whole schedule, both lists included, allocates nothing.
 func TestRadixWalkAllocationFree(t *testing.T) {
 	for _, r := range []int{2, 3, 8} {
 		const P = 100
-		rel := make([]int, 0, maxDigitBlocks(P, r))
-		steps := 0
+		rel, slot := walkScratch(P, r)
+		steps, slots := 0, 0
 		allocs := testing.AllocsPerRun(10, func() {
-			for it := newRadixWalk(P, 7, r, rel); it.next(); {
+			for it := newRadixWalk(P, 7, r, rel, slot); it.next(); {
 				steps++
+				slots += len(it.st.slot)
 			}
 		})
-		if allocs != 0 || steps == 0 {
-			t.Errorf("r=%d: walking %d steps allocated %v objects, want 0", r, steps, allocs)
+		if allocs != 0 || steps == 0 || slots == 0 {
+			t.Errorf("r=%d: walking %d steps (%d slots) allocated %v objects, want 0", r, steps, slots, allocs)
+		}
+	}
+}
+
+// TestRadixWalkSlots pins the walk's rotated slot list to its
+// definition, slot[j] = (rel[j] + rank) mod P, for every rank of every
+// P up to 70 at a spread of radices.
+func TestRadixWalkSlots(t *testing.T) {
+	for P := 1; P <= 70; P++ {
+		for _, r := range []int{2, 3, 4, 7} {
+			for rank := 0; rank < P; rank++ {
+				for it := newRadixWalk(P, rank, r, nil, nil); it.next(); {
+					sub := &it.st
+					if len(sub.slot) != len(sub.rel) {
+						t.Fatalf("P=%d r=%d rank=%d step %d: %d slots for %d blocks", P, r, rank, it.si, len(sub.slot), len(sub.rel))
+					}
+					for j, s := range sub.slot {
+						if want := (sub.rel[j] + rank) % P; s != want {
+							t.Fatalf("P=%d r=%d rank=%d step %d: slot[%d] = %d, want %d", P, r, rank, it.si, j, s, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRotationIndexCounter pins the decrementing rotation-index counter
+// to (2·rank − s) mod P.
+func TestRotationIndexCounter(t *testing.T) {
+	for P := 1; P <= 40; P++ {
+		for rank := 0; rank < P; rank++ {
+			for s, b := 0, rotatedStart(rank, P); s < P; s, b = s+1, rotatedNext(b, P) {
+				if want := ((2*rank-s)%P + P) % P; b != want {
+					t.Fatalf("P=%d rank=%d slot %d: index %d, want %d", P, rank, s, b, want)
+				}
+			}
 		}
 	}
 }

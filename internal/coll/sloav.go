@@ -45,8 +45,8 @@ func SLOAV(p *mpi.Proc, send buffer.Buf, scounts, sdispls []int,
 	w := p.AllocBuf(P * N)
 	defer p.FreeBuf(w)
 	idx := make([]int, P)
-	for s := 0; s < P; s++ {
-		idx[s] = ((2*rank-s)%P + P) % P
+	for s, b := 0, rotatedStart(rank, P); s < P; s, b = s+1, rotatedNext(b, P) {
+		idx[s] = b
 	}
 	p.Charge(float64(P))
 
@@ -75,24 +75,23 @@ func SLOAV(p *mpi.Proc, send buffer.Buf, scounts, sdispls []int,
 	finalSize[rank] = -1 // self block already placed
 
 	done := p.Phase(PhaseComm)
-	for it := newRadixWalk(P, rank, 2, make([]int, 0, (P+1)/2)); it.next(); {
+	relScratch, slotScratch := walkScratch(P, 2)
+	for it := newRadixWalk(P, rank, 2, relScratch, slotScratch); it.next(); {
 		p.SetStep(it.si)
-		rel, dst, src := it.st.rel, it.st.dst, it.st.src
+		slot, dst, src := it.st.slot, it.st.dst, it.st.src
 		htag, dtag := tagSloav+2*it.si, tagSloav+2*it.si+1
 
 		// Build the block-size array and pack the data into the combined
 		// buffer; inefficiency 1 (coupling metadata with data) costs an
 		// extra pack of the size array here.
 		total := 0
-		for j, i := range rel {
-			s := (i + rank) % P
+		for j, s := range slot {
 			hdr.PutUint32(4+4*j, uint32(size[s]))
 			total += size[s]
 		}
-		p.ChargeMemcpy(4 * len(rel)) // pack size array into combined buffer
+		p.ChargeMemcpy(4 * len(slot)) // pack size array into combined buffer
 		off := 0
-		for _, i := range rel {
-			s := (i + rank) % P
+		for _, s := range slot {
 			var blk buffer.Buf
 			if status[s] {
 				blk = w.Slice(s*N, size[s])
@@ -104,19 +103,18 @@ func SLOAV(p *mpi.Proc, send buffer.Buf, scounts, sdispls []int,
 		}
 
 		// Exchange the combined-buffer length, then the combined buffer
-		// (size array + blocks: 4*len(rel)+off bytes on the wire).
+		// (size array + blocks: 4*len(slot)+off bytes on the wire).
 		hdr.PutUint32(0, uint32(off))
-		p.SendRecv(dst, htag, hdr.Slice(0, 4+4*len(rel)), src, htag, rhdr.Slice(0, 4+4*len(rel)))
+		p.SendRecv(dst, htag, hdr.Slice(0, 4+4*len(slot)), src, htag, rhdr.Slice(0, 4+4*len(slot)))
 		rtotal := int(rhdr.Uint32(0))
 		p.Send(dst, dtag, combined.Slice(0, off))
 		p.Recv(src, dtag, rcombined.Slice(0, rtotal))
 
 		// Unpack: split the metadata back out (inefficiency 1: the extra
 		// unpack), then scatter blocks into the per-block temporaries.
-		p.ChargeMemcpy(4 * len(rel))
+		p.ChargeMemcpy(4 * len(slot))
 		roff := 0
-		for j, i := range rel {
-			s := (i + rank) % P
+		for j, s := range slot {
 			sz := int(rhdr.Uint32(4 + 4*j))
 			// Inefficiency 2: pointer-array temp management — every
 			// block placement pays bookkeeping, and growing a cell pays

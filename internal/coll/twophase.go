@@ -69,18 +69,21 @@ func twoPhaseExchange(p *mpi.Proc, r, N int, send buffer.Buf, scounts, sdispls [
 }
 
 // twoPhaseState is the working state of one radix-r two-phase exchange
-// (lines 2-5 of Algorithm 1). The immediate path builds one per call; a
-// persistent handle pins one and runs it on its first Start.
+// (lines 2-5 of Algorithm 1). The immediate path builds one per call
+// from the rank's resident scratch; a persistent handle pins one and
+// runs it on its first Start.
 type twoPhaseState struct {
 	r, n int // radix and global maximum block size N
-	// idx is the rotation index: slot s starts as send block idx[s].
-	idx []int
-	// size[s] is the byte count of the block occupying slot s; inW[s]
-	// records that the slot has been through an exchange, so its block
-	// lives in W rather than the send buffer.
-	size []int
-	inW  []bool
-	rel  []int // the radix walk's block-list scratch
+	// rot is the rotation index's origin: slot s starts out holding
+	// send block (rot − s) mod P, rot = 2·rank mod P.
+	rot int
+	// blk[s] is the byte count of the block occupying slot s while it
+	// is still in the send buffer, and its complement ^count once it
+	// has been through an exchange and lives in W at s·N. rel and slot
+	// are the radix walk's scratch. All three share ints, taken from
+	// the rank's int scratch.
+	blk, rel, slot []int
+	ints           []int
 	// w is the monolithic working buffer, sized for the worst case so
 	// no intermediate block can overflow; meta and rmeta hold one
 	// sub-step's block sizes. The packed blocks themselves travel in
@@ -92,18 +95,14 @@ type twoPhaseState struct {
 // with global maximum block n, and charges the O(P) rotation index.
 func (st *twoPhaseState) init(p *mpi.Proc, r, n int, scounts []int) {
 	P := p.Size()
-	rank := p.Rank()
 	maxB := maxDigitBlocks(P, r)
-	st.r, st.n = r, n
+	st.r, st.n, st.rot = r, n, rotatedStart(p.Rank(), P)
 	st.w = p.AllocBuf(P * n)
-	ints := make([]int, 2*P+maxB)
-	st.idx, st.size, st.rel = ints[:P], ints[P:2*P], ints[2*P:2*P]
-	for s := range st.idx {
-		st.idx[s] = ((2*rank-s)%P + P) % P
-	}
-	p.Charge(float64(P))
-	st.inW = make([]bool, P)
+	st.ints = p.AllocInts(P + 2*maxB)
+	st.blk = st.ints[:P]
+	st.rel, st.slot = st.ints[P:P:P+maxB], st.ints[P+maxB:P+maxB]
 	st.reset(scounts)
+	p.Charge(float64(P))
 	// Metadata travels as real bytes even in phantom worlds: the sizes
 	// drive control flow.
 	st.meta = p.AllocReal(4 * maxB)
@@ -113,26 +112,36 @@ func (st *twoPhaseState) init(p *mpi.Proc, r, n int, scounts []int) {
 // reset readies the state for an exchange of scounts: every slot holds
 // its initial block, still in the send buffer.
 func (st *twoPhaseState) reset(scounts []int) {
-	for s := range st.size {
-		st.size[s] = scounts[st.idx[s]]
-		st.inW[s] = false
+	P := len(st.blk)
+	for s, b := 0, st.rot; s < P; s, b = s+1, rotatedNext(b, P) {
+		st.blk[s] = scounts[b]
 	}
 }
 
-// free returns the state's buffers to the rank's scratch arena.
+// sendBlock returns the send-buffer index of the block slot s started
+// with.
+func (st *twoPhaseState) sendBlock(s int) int {
+	if b := st.rot - s; b >= 0 {
+		return b
+	}
+	return st.rot - s + len(st.blk)
+}
+
+// free returns the state's scratch to the rank.
 func (st *twoPhaseState) free(p *mpi.Proc) {
 	p.FreeBuf(st.w, st.meta, st.rmeta)
+	p.FreeInts(st.ints)
 }
 
 // twoPhaseRecord is the data-dependent state of one exchange, captured
 // so a persistent handle can replay it without metadata. Entries follow
-// the radix walk's blocks in order: out and fromW describe each
-// outgoing block (its size, and whether it is read from W rather than
-// the send buffer), in each incoming block's size; outTotal and
-// inTotal hold each sub-step's outgoing and incoming packed lengths.
+// the radix walk's blocks in order: out and from describe each outgoing
+// block (its size, and its send-buffer offset, or -1 when it is read
+// from W), in each incoming block's size; outTotal and inTotal hold
+// each sub-step's outgoing and incoming packed lengths.
 type twoPhaseRecord struct {
 	out               []int32
-	fromW             []bool
+	from              []int
 	in                []int32
 	outTotal, inTotal []int
 }
@@ -146,44 +155,47 @@ type twoPhaseRecord struct {
 // replay.
 func (st *twoPhaseState) exchange(p *mpi.Proc, send buffer.Buf, sdispls []int,
 	recv buffer.Buf, rcounts, rdispls []int, rec *twoPhaseRecord) error {
-	P := p.Size()
-	rank := p.Rank()
 	N := st.n
 	// Payloads are real when the blocks packed into them are: those
 	// come from send and from W.
 	real := send.Real() && st.w.Real()
-	for it := newRadixWalk(P, rank, st.r, st.rel); it.next(); {
+	for it := newRadixWalk(p.Size(), p.Rank(), st.r, st.rel, st.slot); it.next(); {
 		sub := &it.st
 		p.SetStep(it.si)
 
 		// Phase one: metadata — the sizes of the blocks we are sending
 		// (lines 11-16).
 		out := 0
-		for j, i := range sub.rel {
-			s := (i + rank) % P
-			st.meta.PutUint32(4*j, uint32(st.size[s]))
-			out += st.size[s]
+		for j, s := range sub.slot {
+			sz := st.blk[s]
+			if sz < 0 {
+				sz = ^sz
+			}
+			st.meta.PutUint32(4*j, uint32(sz))
+			out += sz
 		}
 		mtag := tagRadixMeta + it.si
-		p.SendRecv(sub.dst, mtag, st.meta.Slice(0, 4*len(sub.rel)), sub.src, mtag, st.rmeta.Slice(0, 4*len(sub.rel)))
+		nm := 4 * len(sub.slot)
+		p.SendRecv(sub.dst, mtag, st.meta.Slice(0, nm), sub.src, mtag, st.rmeta.Slice(0, nm))
 
 		// Phase two: pack and send the data (lines 17-24). Blocks come
 		// from W if they were received in an earlier step, else from the
 		// send buffer through the rotation index.
 		pl := p.PayloadBuf(out, real)
 		off := 0
-		for _, i := range sub.rel {
-			s := (i + rank) % P
-			sz := st.size[s]
+		for _, s := range sub.slot {
+			sz, from := st.blk[s], -1
 			var blk buffer.Buf
-			if st.inW[s] {
+			if sz < 0 {
+				sz = ^sz
 				blk = st.w.Slice(s*N, sz)
 			} else {
-				blk = send.Slice(sdispls[st.idx[s]], sz)
+				from = sdispls[st.sendBlock(s)]
+				blk = send.Slice(from, sz)
 			}
 			if rec != nil {
 				rec.out = append(rec.out, int32(sz))
-				rec.fromW = append(rec.fromW, st.inW[s])
+				rec.from = append(rec.from, from)
 			}
 			p.Memcpy(pl.Slice(off, sz), blk)
 			off += sz
@@ -191,11 +203,16 @@ func (st *twoPhaseState) exchange(p *mpi.Proc, send buffer.Buf, sdispls []int,
 		dtag := tagRadixData + it.si
 		p.SendPayload(sub.dst, dtag, pl)
 
-		// Receive the incoming packed blocks; the metadata told us the
-		// total.
+		// Receive the incoming packed blocks; the metadata told us their
+		// sizes, which replace those of the blocks just sent.
 		total := 0
-		for j := range sub.rel {
-			total += int(st.rmeta.Uint32(4 * j))
+		for j, s := range sub.slot {
+			sz := int(st.rmeta.Uint32(4 * j))
+			st.blk[s] = ^sz
+			total += sz
+			if rec != nil {
+				rec.in = append(rec.in, int32(sz))
+			}
 		}
 		in := p.RecvPayload(sub.src, dtag, total)
 		if rec != nil {
@@ -205,9 +222,8 @@ func (st *twoPhaseState) exchange(p *mpi.Proc, send buffer.Buf, sdispls []int,
 
 		// Unpack (lines 25-33).
 		roff := 0
-		for j, i := range sub.rel {
-			s := (i + rank) % P
-			sz := int(st.rmeta.Uint32(4 * j))
+		for j, s := range sub.slot {
+			sz := ^st.blk[s]
 			if j < sub.final {
 				if sz != rcounts[s] {
 					p.FreePayload(in)
@@ -218,12 +234,7 @@ func (st *twoPhaseState) exchange(p *mpi.Proc, send buffer.Buf, sdispls []int,
 			} else {
 				p.Memcpy(st.w.Slice(s*N, sz), in.Slice(roff, sz))
 			}
-			if rec != nil {
-				rec.in = append(rec.in, int32(sz))
-			}
 			roff += sz
-			st.size[s] = sz
-			st.inW[s] = true
 		}
 		p.FreePayload(in)
 	}

@@ -41,7 +41,8 @@ func BasicBruck(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error {
 	// src and receives from its dst. Blocks are packed straight into the
 	// payload sent and unpacked from the one received.
 	done = p.Phase(PhaseComm)
-	for it := newRadixWalk(P, rank, 2, make([]int, 0, (P+1)/2)); it.next(); {
+	rel, slot := walkScratch(P, 2)
+	for it := newRadixWalk(P, rank, 2, rel, slot); it.next(); {
 		sub := &it.st
 		p.SetStep(it.si)
 		total := len(sub.rel) * n
@@ -92,23 +93,22 @@ func ModifiedBruck(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error {
 	// Phase 1: rotate so recv[i] = send[(2*rank - i) mod P]. Reverse
 	// order forces per-block copies.
 	done := p.Phase(PhaseInitRotation)
-	for i := 0; i < P; i++ {
-		src := ((2*rank-i)%P + P) % P
+	for i, src := 0, rotatedStart(rank, P); i < P; i, src = i+1, rotatedNext(src, P) {
 		p.Memcpy(recv.Slice(i*n, n), send.Slice(src*n, n))
 	}
 	done()
 
 	// Phase 2: the binary walk sends to rank-2^k and receives from
-	// rank+2^k; slot for relative index i is (i+rank) mod P. No final
+	// rank+2^k, moving the blocks in the walk's rotated slots. No final
 	// rotation: recv ends correct.
 	done = p.Phase(PhaseComm)
-	for it := newRadixWalk(P, rank, 2, make([]int, 0, (P+1)/2)); it.next(); {
+	rel, slot := walkScratch(P, 2)
+	for it := newRadixWalk(P, rank, 2, rel, slot); it.next(); {
 		sub := &it.st
 		p.SetStep(it.si)
-		total := len(sub.rel) * n
+		total := len(sub.slot) * n
 		pl := p.PayloadBuf(total, recv.Real())
-		for j, i := range sub.rel {
-			s := (i + rank) % P
+		for j, s := range sub.slot {
 			p.Memcpy(pl.Slice(j*n, n), recv.Slice(s*n, n))
 		}
 		tag := tagBruck + it.si
@@ -119,8 +119,7 @@ func ModifiedBruck(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error {
 			done()
 			return err
 		}
-		for j, i := range sub.rel {
-			s := (i + rank) % P
+		for j, s := range sub.slot {
 			p.Memcpy(recv.Slice(s*n, n), in.Slice(j*n, n))
 		}
 		p.FreePayload(in)

@@ -39,7 +39,8 @@ func BasicBruckDT(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error {
 	// As in BasicBruck, data flows the other way round the walk: send
 	// to its src, receive from its dst.
 	done = p.Phase(PhaseComm)
-	for it := newRadixWalk(P, rank, 2, make([]int, 0, (P+1)/2)); it.next(); {
+	rel, slot := walkScratch(P, 2)
+	for it := newRadixWalk(P, rank, 2, rel, slot); it.next(); {
 		sub := &it.st
 		p.SetStep(it.si)
 		st := datatype.Type{}
@@ -75,19 +76,18 @@ func ModifiedBruckDT(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error
 	rank := p.Rank()
 
 	done := p.Phase(PhaseInitRotation)
-	for i := 0; i < P; i++ {
-		src := ((2*rank-i)%P + P) % P
+	for i, src := 0, rotatedStart(rank, P); i < P; i, src = i+1, rotatedNext(src, P) {
 		p.Memcpy(recv.Slice(i*n, n), send.Slice(src*n, n))
 	}
 	done()
 
 	done = p.Phase(PhaseComm)
-	for it := newRadixWalk(P, rank, 2, make([]int, 0, (P+1)/2)); it.next(); {
+	rel, slot := walkScratch(P, 2)
+	for it := newRadixWalk(P, rank, 2, rel, slot); it.next(); {
 		sub := &it.st
 		p.SetStep(it.si)
 		st := datatype.Type{}
-		for _, i := range sub.rel {
-			s := (i + rank) % P
+		for _, s := range sub.slot {
 			st = st.Append(recv.Slice(s*n, n))
 		}
 		tag := tagBruck + it.si
@@ -147,13 +147,14 @@ func ZeroCopyBruckDT(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error
 	done()
 
 	done = p.Phase(PhaseComm)
-	for it := newRadixWalk(P, rank, 2, make([]int, 0, (P+1)/2)); it.next(); {
+	rel, slot := walkScratch(P, 2)
+	for it := newRadixWalk(P, rank, 2, rel, slot); it.next(); {
 		sub := &it.st
 		p.SetStep(it.si)
 		st := datatype.Type{}
 		rt := datatype.Type{}
-		for _, i := range sub.rel {
-			s := (i + rank) % P
+		for k, i := range sub.rel {
+			s := sub.slot[k]
 			j := bits.OnesCount(uint(i & (2*sub.step - 1))) // this is transfer number j for slot s
 			st = st.Append(slotBuf(i, j-1).Slice(s*n, n))
 			rt = rt.Append(slotBuf(i, j).Slice(s*n, n))

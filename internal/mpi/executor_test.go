@@ -214,18 +214,13 @@ func TestExecutorDiffReliableLoss(t *testing.T) {
 // differently (machine stalled vs. every live rank asleep), but the
 // diagnostic must not differ.
 func TestExecutorDiffDeadlockReport(t *testing.T) {
-	cycle := func(p *Proc) error {
-		b := buffer.New(8)
-		p.Recv((p.Rank()+1)%p.Size(), 99, b)
-		return nil
-	}
 	var des [2]*DeadlockError
 	for i, e := range []Executor{ExecutorGoroutines, ExecutorEvents} {
 		w, err := NewWorld(6, WithModel(machine.Zero()), WithExecutor(e))
 		if err != nil {
 			t.Fatal(err)
 		}
-		runErr := w.Run(cycle)
+		runErr := w.Run(recvCycle)
 		if runErr == nil {
 			t.Fatalf("%v: deadlock not detected", e)
 		}
@@ -238,6 +233,41 @@ func TestExecutorDiffDeadlockReport(t *testing.T) {
 	}
 	if des[1].Error() != des[0].Error() {
 		t.Errorf("rendered reports differ:\n%s\n----\n%s", des[0].Error(), des[1].Error())
+	}
+}
+
+// recvCycle has every rank receive from its successor, which never
+// sends: a deadlock with all ranks blocked in Recv.
+func recvCycle(p *Proc) error {
+	b := buffer.New(8)
+	p.Recv((p.Rank()+1)%p.Size(), 99, b)
+	return nil
+}
+
+// TestDeadlockReportListsEveryRank repeats the receive cycle on one
+// goroutine world with two processors, so the rank whose sleep
+// completes the deadlock declares it while another that has just
+// counted itself asleep may still be on its way to waiting: the report
+// must list all six ranks on every run, so the snapshot has to be taken
+// before any rank can see the run declared dead and unwind. With the
+// snapshot taken after, this dropped a rank within about 3000 runs in
+// most trials; with one processor it never did.
+func TestDeadlockReportListsEveryRank(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const P = 6
+	w, err := NewWorld(P, WithModel(machine.Zero()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for run := 0; run < 5000; run++ {
+		var de *DeadlockError
+		if err := w.Run(recvCycle); !errors.As(err, &de) {
+			t.Fatalf("run %d: want a DeadlockError, got %v", run, err)
+		}
+		if got := de.BlockedRanks(); len(got) != P {
+			t.Fatalf("run %d: report lists ranks %v, want all %d", run, got, P)
+		}
 	}
 }
 

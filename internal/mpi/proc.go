@@ -57,6 +57,10 @@ type procState struct {
 	// also survives world recreation in benchmarks that reuse arenas.
 	arena *buffer.Arena
 
+	// ints is this rank's free list of int scratch behind AllocInts:
+	// the slices returned by FreeInts, each kept at its full capacity.
+	ints [][]int
+
 	// Request recycling and reusable Waitall state. reqFree holds
 	// handles returned via FreeRequests. waitSeq is a per-rank Waitall
 	// call counter used to detect duplicate requests without allocating
@@ -362,6 +366,37 @@ func (p *Proc) AllocBuf(n int) buffer.Buf {
 // metadata that drives control flow (counts, displacements, headers),
 // which must stay real when payloads are phantom.
 func (p *Proc) AllocReal(n int) buffer.Buf { return p.arena.Get(n) }
+
+// AllocInts returns n ints of scratch from this rank's resident free
+// list, with unspecified contents: the int counterpart of AllocReal for
+// per-call bookkeeping (rotation indices, block sizes, schedule lists)
+// that a resident rank should not reallocate on every call. Return it
+// with FreeInts; an unreturned slice is simply garbage-collected.
+func (p *Proc) AllocInts(n int) []int {
+	best := -1 // the smallest free slice that fits
+	for i, s := range p.ints {
+		if cap(s) >= n && (best < 0 || cap(s) < cap(p.ints[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]int, n)
+	}
+	s := p.ints[best]
+	last := len(p.ints) - 1
+	p.ints[best], p.ints[last] = p.ints[last], nil
+	p.ints = p.ints[:last]
+	return s[:n]
+}
+
+// FreeInts returns a slice obtained from AllocInts to this rank's free
+// list. An empty-capacity slice is ignored. The slice must not be used
+// again.
+func (p *Proc) FreeInts(s []int) {
+	if cap(s) > 0 {
+		p.ints = append(p.ints, s[:0])
+	}
+}
 
 // FreeBuf returns scratch buffers obtained from AllocBuf or AllocReal
 // to this rank's arena for reuse. Phantom and foreign buffers are

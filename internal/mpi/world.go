@@ -768,18 +768,23 @@ func (w *World) declareDeadCause(gen int64, reason string, cause error) {
 	w.declareAbort(gen, reason, cause, nil)
 }
 
-// declareAbort is the single abort path: it marks the world dead (if
-// gen still names the current run), snapshots every blocked rank's
-// pending receives, wakes all waiters so they unwind, and records the
+// declareAbort is the single abort path: if gen still names the current
+// run, it snapshots every blocked rank's pending receives, marks the
+// world dead, wakes all waiters so they unwind, and records the
 // diagnostic — a DeadlockError, or a RankFailedError when the caller
 // names failed ranks (the reliability layer's retry-budget exhaustion).
 // Idempotent: the first declaration wins.
 func (w *World) declareAbort(gen int64, reason string, cause error, failed []int) {
 	w.deadMu.Lock()
-	if gen != w.gen || !w.dead.CompareAndSwap(false, true) {
+	if gen != w.gen || w.dead.Load() {
 		w.deadMu.Unlock()
 		return
 	}
+	// Snapshot the blocked ranks before publishing dead: a rank that
+	// sees dead clears its wait record and unwinds, so one that got
+	// there before its box was locked here would drop out of the
+	// report. deadMu serializes declarers, so nothing else sets dead in
+	// between.
 	var blocked []BlockedRank
 	for _, p := range w.procs {
 		p.box.mu.Lock()
@@ -791,6 +796,11 @@ func (w *World) declareAbort(gen int64, reason string, cause error, failed []int
 				SinceNs: p.waitSince,
 			})
 		}
+		p.box.mu.Unlock()
+	}
+	w.dead.Store(true)
+	for _, p := range w.procs {
+		p.box.mu.Lock()
 		p.box.cond.Broadcast()
 		p.box.mu.Unlock()
 	}
