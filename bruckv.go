@@ -640,8 +640,12 @@ func (c *Comm) AlltoallWith(alg UniformAlgorithm, send []byte, n int, recv []byt
 	if err != nil {
 		return err
 	}
-	return coll.UniformAlgorithms()[name](c.p, sb, n, rb)
+	return uniformTable[name](c.p, sb, n, rb)
 }
+
+// uniformTable is the registry AlltoallWith reads, built once: its
+// implementations hold no state.
+var uniformTable = coll.UniformAlgorithms()
 
 // ExchangeCounts fills rcounts so that rcounts[s] on this rank equals
 // scounts[thisRank] on rank s: the standard preparatory exchange before
@@ -736,8 +740,9 @@ func Displacements(counts []int) (displs []int, total int) {
 
 // ensure the internal registry stays in sync with the enum.
 var _ = func() struct{} {
+	nonUniform := coll.NonUniformAlgorithms()
 	for _, name := range algEnum.names {
-		if coll.NonUniformAlgorithms()[name] == nil {
+		if nonUniform[name] == nil {
 			panic("bruckv: algorithm " + name + " missing from registry")
 		}
 	}

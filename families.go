@@ -85,7 +85,7 @@ func (a AllgathervAlgorithm) impl() (coll.Allgatherv, error) {
 	if !ok {
 		return nil, fmt.Errorf("bruckv: allgatherv algorithm %d: %w", int(a), ErrInvalidAlgorithm)
 	}
-	return coll.AllgathervAlgorithms()[name], nil
+	return agTable[name], nil
 }
 
 // ReduceScatterAlgorithm selects the ReduceScatter implementation.
@@ -131,7 +131,7 @@ func (a ReduceScatterAlgorithm) impl() (coll.ReduceScatter, error) {
 	if !ok {
 		return nil, fmt.Errorf("bruckv: reduce-scatter algorithm %d: %w", int(a), ErrInvalidAlgorithm)
 	}
-	return coll.ReduceScatterAlgorithms()[name], nil
+	return rsTable[name], nil
 }
 
 // AllreduceAlgorithm selects the Allreduce implementation.
@@ -177,7 +177,7 @@ func (a AllreduceAlgorithm) impl() (coll.AllreduceV, error) {
 	if !ok {
 		return nil, fmt.Errorf("bruckv: allreduce algorithm %d: %w", int(a), ErrInvalidAlgorithm)
 	}
-	return coll.AllreduceAlgorithms()[name], nil
+	return arTable[name], nil
 }
 
 // validateCounts rejects a malformed counts-only layout (the packed
@@ -534,20 +534,28 @@ func (h *PersistentAllreduce) Executions() int { return h.h.Executions() }
 // arena; a later Start fails with ErrHandleFreed.
 func (h *PersistentAllreduce) Free() { h.h.Free() }
 
+// The family registries the impl methods read, built once: their
+// implementations, the Auto closures included, hold no state.
+var (
+	agTable = coll.AllgathervAlgorithms()
+	rsTable = coll.ReduceScatterAlgorithms()
+	arTable = coll.AllreduceAlgorithms()
+)
+
 // ensure the family registries stay in sync with the enums.
 var _ = func() struct{} {
 	for _, name := range agEnum.names {
-		if coll.AllgathervAlgorithms()[name] == nil {
+		if agTable[name] == nil {
 			panic("bruckv: allgatherv algorithm " + name + " missing from registry")
 		}
 	}
 	for _, name := range rsEnum.names {
-		if coll.ReduceScatterAlgorithms()[name] == nil {
+		if rsTable[name] == nil {
 			panic("bruckv: reduce-scatter algorithm " + name + " missing from registry")
 		}
 	}
 	for _, name := range arEnum.names {
-		if coll.AllreduceAlgorithms()[name] == nil {
+		if arTable[name] == nil {
 			panic("bruckv: allreduce algorithm " + name + " missing from registry")
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sort"
 	"time"
 
 	"bruckv/internal/buffer"
@@ -150,6 +151,23 @@ type RunAmortization struct {
 	// Run gets its own world, counting NewWorld and Close with the Run.
 	FreshNsPerRun     float64
 	FreshAllocsPerRun float64
+	// residentNs and freshNs are the per-Run samples behind the two ns
+	// averages, in the order they were taken.
+	residentNs, freshNs []float64
+}
+
+// medianNs returns the median resident and fresh Run times: unlike the
+// averages, a few preempted samples do not move them.
+func (a RunAmortization) medianNs() (resident, fresh float64) {
+	median := func(xs []float64) float64 {
+		s := append([]float64(nil), xs...)
+		sort.Float64s(s)
+		if len(s) == 0 {
+			return 0
+		}
+		return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
+	}
+	return median(a.residentNs), median(a.freshNs)
 }
 
 // SetupNsSaved is the per-Run host-time saving from reusing the
@@ -190,10 +208,12 @@ func measureAmortization(o Options, P, runs int) (*RunAmortization, error) {
 		}
 		am.ResidentNsPerRun += ns
 		am.ResidentAllocsPerRun += mallocs
+		am.residentNs = append(am.residentNs, ns)
 		if ns, mallocs, err = hostCost(fresh); err != nil {
 			return nil, err
 		}
 		am.FreshNsPerRun += ns
+		am.freshNs = append(am.freshNs, ns)
 		am.FreshAllocsPerRun += mallocs
 	}
 	am.ResidentNsPerRun /= float64(runs)

@@ -57,7 +57,7 @@ func TestHostPerfReport(t *testing.T) {
 // per-Run allocations (the session spawn — goroutines, arenas,
 // mailboxes — is paid once, not per Run).
 func TestHostPerfAmortization(t *testing.T) {
-	cfg := HostPerfConfig{P: 32, Iters: 2, Algorithms: []string{"spreadout"}, Runs: 16}
+	cfg := HostPerfConfig{P: 32, Iters: 2, Algorithms: []string{"spreadout"}, Runs: 32}
 	rep, err := HostPerf(Options{Iters: 1}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -66,16 +66,19 @@ func TestHostPerfAmortization(t *testing.T) {
 	if a == nil {
 		t.Fatal("no amortization block with Runs > 0")
 	}
-	if a.P != 32 || a.Runs != 16 {
-		t.Errorf("amortization ran at P=%d Runs=%d, want 32/16", a.P, a.Runs)
+	if a.P != 32 || a.Runs != 32 || len(a.residentNs) != 32 || len(a.freshNs) != 32 {
+		t.Errorf("amortization ran at P=%d Runs=%d with %d/%d samples, want 32/32/32/32",
+			a.P, a.Runs, len(a.residentNs), len(a.freshNs))
 	}
 	if a.ResidentAllocsPerRun >= a.FreshAllocsPerRun {
 		t.Errorf("resident runs allocate %.0f objects/run, fresh worlds %.0f — session setup not amortized",
 			a.ResidentAllocsPerRun, a.FreshAllocsPerRun)
 	}
-	if a.SetupNsSaved() <= 0 {
-		t.Errorf("resident %.0f ns/run, fresh %.0f ns/run: reuse saved no host time",
-			a.ResidentNsPerRun, a.FreshNsPerRun)
+	// The wall-clock verdict compares medians of the same alternated
+	// samples, so one preempted Run on a shared host cannot tip it.
+	if resident, fresh := a.medianNs(); resident >= fresh {
+		t.Errorf("resident %.0f ns/run, fresh %.0f ns/run (medians of %d): reuse saved no host time",
+			resident, fresh, a.Runs)
 	}
 	var text bytes.Buffer
 	rep.Fprint(&text)

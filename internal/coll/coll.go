@@ -11,6 +11,13 @@
 // PaddedBruck and TwoPhaseBruck, and the SpreadOut, VendorAlltoallv,
 // PaddedAlltoall, and SLOAV baselines.
 //
+// The Bruck-type algorithms walk one radix schedule (schedule.go).
+// Zero-rotation, modified Bruck and two-phase Bruck, its persistent
+// handle included, run one packed step loop over it
+// (twoPhaseState.exchange, twophase.go), which differs between them
+// only in where each sub-step's incoming block sizes come from: a
+// metadata exchange, a persistent handle's record, or the uniform n.
+//
 // All algorithms share the same function signatures, mirroring the
 // paper's claim that its implementations are drop-in replacements for
 // MPI_Alltoall / MPI_Alltoallv.

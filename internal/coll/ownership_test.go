@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,19 +28,23 @@ const ownP, ownN = 8, 12
 // ownershipAlgs are the loops the tests drive: one call of
 // the named collective on real buffers. bad makes the calling rank's
 // arguments disagree with its peers' (an rcounts entry for the
-// Alltoallv loops, the block size for zero-rotation).
+// Alltoallv loops, the block size for the uniform ones).
 var ownershipAlgs = []struct {
 	name string
+	// mismatch is the diagnosis a run with bad arguments must report:
+	// the loop's own error, or for spread-out the transport's panic on
+	// a truncated receive.
+	mismatch string
 	// prepare builds the rank's call; the returned function is called
 	// once per collective and free releases anything it pinned.
 	prepare func(p *mpi.Proc, bad bool) (call func() error, free func(), err error)
 }{
-	{"two-phase", func(p *mpi.Proc, bad bool) (func() error, func(), error) {
+	{"two-phase", "rcounts says", func(p *mpi.Proc, bad bool) (func() error, func(), error) {
 		send, sc, sd, rc, rd, rTotal := ownLayout(p, bad)
 		recv := buffer.New(rTotal)
 		return func() error { return TwoPhaseBruck(p, send, sc, sd, recv, rc, rd) }, func() {}, nil
 	}},
-	{"persistent", func(p *mpi.Proc, bad bool) (func() error, func(), error) {
+	{"persistent", "rcounts says", func(p *mpi.Proc, bad bool) (func() error, func(), error) {
 		send, sc, sd, rc, rd, rTotal := ownLayout(p, bad)
 		recv := buffer.New(rTotal)
 		h, err := AlltoallvInit(p, 2, sc, sd, rc, rd)
@@ -48,20 +53,32 @@ var ownershipAlgs = []struct {
 		}
 		return func() error { return h.Start(send, recv) }, h.Free, nil
 	}},
-	{"spreadout", func(p *mpi.Proc, bad bool) (func() error, func(), error) {
+	{"spreadout", "truncated", func(p *mpi.Proc, bad bool) (func() error, func(), error) {
 		send, sc, sd, rc, rd, rTotal := ownLayout(p, bad)
 		recv := buffer.New(rTotal)
 		return func() error { return SpreadOut(p, send, sc, sd, recv, rc, rd) }, func() {}, nil
 	}},
-	{"zero-rotation", func(p *mpi.Proc, bad bool) (func() error, func(), error) {
+	{"zero-rotation", sizeDiffers, ownUniform(ZeroRotationBruck)},
+	{"zero-rotation-r4", sizeDiffers, ownUniform(ZeroRotationBruckRadix(4))},
+	{"modified", sizeDiffers, ownUniform(ModifiedBruck)},
+}
+
+// sizeDiffers is the shared step loop's length check, which every rank
+// of a uniform loop reports as an error rather than a panic.
+const sizeDiffers = "block size differs across ranks"
+
+// ownUniform prepares one call of a uniform loop on real buffers; with
+// bad, rank 0's block size is one byte short of its peers'.
+func ownUniform(alg Alltoall) func(p *mpi.Proc, bad bool) (func() error, func(), error) {
+	return func(p *mpi.Proc, bad bool) (func() error, func(), error) {
 		n := ownN
 		if bad && p.Rank() == 0 {
 			n--
 		}
 		send, recv := buffer.New(ownP*ownN), buffer.New(ownP*ownN)
 		fillUniform(send, p.Rank(), ownP, ownN)
-		return func() error { return ZeroRotationBruck(p, send, n, recv) }, func() {}, nil
-	}},
+		return func() error { return alg(p, send, n, recv) }, func() {}, nil
+	}
 }
 
 // ownLayout is a real-payload Alltoallv layout with every block
@@ -130,8 +147,12 @@ func TestPayloadOwnershipOnMismatch(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%s", e, a.name), func(t *testing.T) {
 				w := ownWorld(t, e)
 				once := func(_ *mpi.Proc, i int) bool { return i < 1 }
-				if err := runOwned(w, context.Background(), a.prepare, true, once); err == nil {
-					t.Fatal("mismatched arguments did not fail the run")
+				err := runOwned(w, context.Background(), a.prepare, true, once)
+				if err == nil || !strings.Contains(err.Error(), a.mismatch) {
+					t.Fatalf("mismatched arguments: want %q in the run's error, got %v", a.mismatch, err)
+				}
+				if a.mismatch == sizeDiffers && strings.Contains(err.Error(), "panicked") {
+					t.Fatalf("a rank panicked on the mismatch: %v", err)
 				}
 				checkBalanced(t, w)
 				// The world stays usable, and a clean run balances too.

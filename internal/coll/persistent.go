@@ -63,16 +63,16 @@ func (h *persistentHandle) begin(check error) error {
 }
 
 // Persistent non-uniform all-to-all (the MPI_Alltoallv_init analogue),
-// built on the radix-r two-phase engine. Initialization freezes
-// everything a repeated exchange with fixed counts can reuse: the radix
-// schedule (partner sequence, per-sub-step block lists, tags), the
+// built on the radix-r two-phase engine. Initialization keeps what a
+// repeated exchange with fixed counts can reuse: the layout, the
 // rotation index, and the working and metadata buffers, pinned from the
-// rank's pooled scratch arena. The first Start additionally freezes the
-// exchange's data-dependent state — the metadata (block sizes) every
-// sub-step would exchange and each block's source (send buffer vs
-// working buffer) — so every later Start skips the metadata phase
-// entirely: half the messages per sub-step, and no per-call size
-// bookkeeping.
+// rank's pooled scratch arena. The first Start runs the two-phase
+// exchange and records the one thing that depends on the data, the
+// incoming block sizes; every later Start runs the same step loop with
+// the sizes read from that record, so it skips the metadata phase
+// entirely: half the messages per sub-step. The walk and each block's
+// source are functions of the layout, recomputed per Start at no
+// virtual cost.
 
 // maxAutoRadix bounds the radix AlltoallvInitAuto's model search
 // considers.
@@ -83,20 +83,16 @@ const maxAutoRadix = 16
 // Start is a collective over the communicator the handle was built on.
 type PersistentV struct {
 	persistentHandle
-	sched *schedule
-	n     int // global maximum block size
-
 	scounts []int
 	sdispls []int
 	rcounts []int
 	rdispls []int
 
-	// st is the two-phase working state; its buffers are the handle's
-	// pinned scratch. The first Start runs the two-phase exchange over
-	// it and fills rec; later Starts replay rec.
-	st     twoPhaseState
-	rec    twoPhaseRecord
-	frozen bool
+	// st is the exchange's working state; its buffers are the handle's
+	// pinned scratch. The first Start exchanges the block sizes and
+	// records the incoming ones in st.rec; later Starts read them from
+	// there (st.sizes).
+	st twoPhaseState
 }
 
 // checkInitLayout validates the count/displacement arrays of a
@@ -173,39 +169,34 @@ func alltoallvInitWithMax(p *mpi.Proc, r, n int, scounts, sdispls, rcounts, rdis
 	P := p.Size()
 	h := &PersistentV{
 		persistentHandle: persistentHandle{p: p},
-		n:                n,
 		scounts:          append([]int(nil), scounts...),
 		sdispls:          append([]int(nil), sdispls...),
 		rcounts:          append([]int(nil), rcounts...),
 		rdispls:          append([]int(nil), rdispls...),
+		st:               twoPhaseState{r: r, n: n},
 	}
-	h.sched = buildRadixSchedule(P, p.Rank(), r)
 	if P == 1 || n == 0 {
 		p.Charge(float64(P)) // the rotation index, priced as in the exchange
 		return h             // nothing travels; Start degenerates to the self copy
 	}
-	h.st.init(p, r, n, scounts)
+	h.st.initV(p, r, n, scounts)
 	h.pinned = append(h.pinned, h.st.w, h.st.meta, h.st.rmeta)
 	h.pinnedInts = h.st.ints
+	// The record holds one size per block the walk moves, so recording
+	// never grows it.
 	blocks := 0
-	for si := range h.sched.steps {
-		blocks += len(h.sched.steps[si].rel)
+	for it := newRadixWalk(P, p.Rank(), r, h.st.rel, h.st.slot); it.next(); {
+		blocks += len(it.st.slot)
 	}
-	h.rec = twoPhaseRecord{
-		out:      make([]int32, 0, blocks),
-		from:     make([]int, 0, blocks),
-		in:       make([]int32, 0, blocks),
-		outTotal: make([]int, 0, len(h.sched.steps)),
-		inTotal:  make([]int, 0, len(h.sched.steps)),
-	}
+	h.st.rec = make([]int32, 0, blocks)
 	return h
 }
 
 // Radix returns the handle's two-phase radix.
-func (h *PersistentV) Radix() int { return h.sched.r }
+func (h *PersistentV) Radix() int { return h.st.r }
 
 // MaxBlock returns the global maximum block size in bytes.
-func (h *PersistentV) MaxBlock() int { return h.n }
+func (h *PersistentV) MaxBlock() int { return h.st.n }
 
 // SendSpan and RecvSpan return the minimum buffer lengths Start
 // accepts (the furthest extent of any declared block).
@@ -229,8 +220,8 @@ func span(counts, displs []int) int {
 // must satisfy the counts and displacements given at init. It is a
 // collective; every initializing rank must start the same number of
 // times. The first Start runs the full two-phase exchange and records
-// its metadata; every later Start replays the frozen schedule without
-// the metadata phase.
+// the incoming block sizes; every later Start runs it with the recorded
+// sizes and no metadata phase.
 func (h *PersistentV) Start(send, recv buffer.Buf) error {
 	p := h.p
 	P := p.Size()
@@ -239,65 +230,21 @@ func (h *PersistentV) Start(send, recv buffer.Buf) error {
 		return err
 	}
 	p.Memcpy(recv.Slice(h.rdispls[rank], h.rcounts[rank]), send.Slice(h.sdispls[rank], h.scounts[rank]))
-	if P == 1 || h.n == 0 {
+	if P == 1 || h.st.n == 0 {
 		return nil
 	}
 	defer p.ClearStep()
-	if h.frozen {
-		h.startFrozen(send, recv)
-		return nil
+	// Every Start walks from the layout, and a recording one starts an
+	// empty record, so a Start that failed part-way leaves nothing
+	// behind.
+	st := &h.st
+	st.reset(h.scounts)
+	if st.sizes == sizesExchanged {
+		st.rec = st.rec[:0]
 	}
-	// Start each recording from the layout, so a Start that failed
-	// part-way leaves nothing behind.
-	h.st.reset(h.scounts)
-	h.rec = twoPhaseRecord{out: h.rec.out[:0], from: h.rec.from[:0], in: h.rec.in[:0],
-		outTotal: h.rec.outTotal[:0], inTotal: h.rec.inTotal[:0]}
-	if err := h.st.exchange(p, send, h.sdispls, recv, h.rcounts, h.rdispls, &h.rec); err != nil {
+	if err := st.exchange(p, send, h.sdispls, recv, h.rcounts, h.rdispls); err != nil {
 		return err
 	}
-	h.frozen = true
+	st.sizes = sizesRecorded
 	return nil
-}
-
-// startFrozen replays the recorded exchange over the frozen schedule:
-// pack from the recorded sources straight into the sub-step's one data
-// payload, unpack from the received one to the recorded placements. No
-// metadata travels and no sizes are recomputed.
-func (h *PersistentV) startFrozen(send, recv buffer.Buf) {
-	p := h.p
-	w, rec := h.st.w, &h.rec
-	real := send.Real() && w.Real()
-	b := 0 // the record's index of the sub-step's first block
-	for si := range h.sched.steps {
-		sub := &h.sched.steps[si]
-		p.SetStep(si)
-		pl := p.PayloadBuf(rec.outTotal[si], real)
-		off := 0
-		for j, s := range sub.slot {
-			sz := int(rec.out[b+j])
-			var blk buffer.Buf
-			if o := rec.from[b+j]; o < 0 {
-				blk = w.Slice(s*h.n, sz)
-			} else {
-				blk = send.Slice(o, sz)
-			}
-			p.Memcpy(pl.Slice(off, sz), blk)
-			off += sz
-		}
-		dtag := tagRadixData + si
-		p.SendPayload(sub.dst, dtag, pl)
-		in := p.RecvPayload(sub.src, dtag, rec.inTotal[si])
-		roff := 0
-		for j, s := range sub.slot {
-			sz := int(rec.in[b+j])
-			if j < sub.final {
-				p.Memcpy(recv.Slice(h.rdispls[s], sz), in.Slice(roff, sz))
-			} else {
-				p.Memcpy(w.Slice(s*h.n, sz), in.Slice(roff, sz))
-			}
-			roff += sz
-		}
-		p.FreePayload(in)
-		b += len(sub.slot)
-	}
 }

@@ -20,8 +20,8 @@ import (
 // paper's binary algorithms are the r=2 case: ZeroRotationBruck is
 // ZeroRotationBruckRadix(2) and TwoPhaseBruck is TwoPhaseBruckRadix(2)
 // (twophase.go). The sub-step sequence, partners, and block lists come
-// from the schedule engine's radix walk (schedule.go), which the
-// persistent handles additionally freeze and reuse.
+// from the schedule engine's radix walk (schedule.go), and both run the
+// one packed step loop, twoPhaseState.exchange.
 
 // ErrInvalidRadix marks a Bruck radix below 2 passed to
 // ZeroRotationBruckRadix, TwoPhaseBruckRadix, or AlltoallvInit.
@@ -102,13 +102,12 @@ func ZeroRotationBruckRadix(r int) Alltoall {
 
 // zeroRotation is radix-r zero-rotation Bruck: the modified Bruck's
 // communication pattern (no final rotation) driven by SLOAV's rotation
-// index array (no initial rotation). A block is fetched from the send
-// buffer through the index on its first transmission and from the
-// receive buffer afterwards, which the index records by turning the
-// slot's entry to -1. Each step packs straight into the payload it
-// sends and unpacks from the one it receives; payloads are real when
-// send and recv, the buffers packed from, are, so real count bytes stay
-// real in a phantom world (CountsExchange).
+// index array (no initial rotation). It is the shared step loop
+// (twoPhaseState.exchange) with n-byte blocks and recv as W: a block
+// is read from the send buffer through the rotation index on its first
+// transmission and from recv afterwards. Payloads are real when send
+// and recv, the buffers packed from, are, so real count bytes stay real
+// in a phantom world (CountsExchange).
 func zeroRotation(p *mpi.Proc, r int, send buffer.Buf, n int, recv buffer.Buf) error {
 	if err := checkUniform(p, send, n, recv); err != nil {
 		return err
@@ -116,21 +115,21 @@ func zeroRotation(p *mpi.Proc, r int, send buffer.Buf, n int, recv buffer.Buf) e
 	P := p.Size()
 	rank := p.Rank()
 
-	// Rotation index: src[s] is the send-buffer offset of slot s's
-	// initial block, or -1 once the slot's block has arrived in recv.
-	// Cost O(P), not O(P*n). The index and the walk's lists are the
-	// rank's resident int scratch.
-	maxB := maxDigitBlocks(P, r)
-	ints := p.AllocInts(P + 2*maxB)
-	defer p.FreeInts(ints)
-	src := ints[:P]
-	for s, b := 0, rotatedStart(rank, P); s < P; s, b = s+1, rotatedNext(b, P) {
-		src[s] = b * n
+	// Rotation index: every slot starts out holding its n-byte block in
+	// send, block b at sdispls[b] = b·n. Cost O(P), not O(P*n). The
+	// index and the walk's lists are the rank's resident int scratch.
+	var st twoPhaseState
+	st.init(p, r, n, recv, tagRadixUniform)
+	defer st.free(p)
+	sdispls := p.AllocInts(P)
+	defer p.FreeInts(sdispls)
+	for i := range sdispls {
+		st.blk[i], sdispls[i] = n, i*n
 	}
 	p.Charge(float64(P)) // ~1ns per index entry
 
 	// Self block goes straight to its final position.
-	p.Memcpy(recv.Slice(rank*n, n), send.Slice(src[rank], n))
+	p.Memcpy(recv.Slice(rank*n, n), send.Slice(rank*n, n))
 	if P == 1 {
 		return nil
 	}
@@ -138,46 +137,5 @@ func zeroRotation(p *mpi.Proc, r int, send buffer.Buf, n int, recv buffer.Buf) e
 	done := p.Phase(PhaseComm)
 	defer done()
 	defer p.ClearStep()
-	real := send.Real() && recv.Real()
-	for it := newRadixWalk(P, rank, r, ints[P:P:P+maxB], ints[P+maxB:P+maxB]); it.next(); {
-		sub := &it.st
-		p.SetStep(it.si)
-		total := len(sub.slot) * n
-		pl := p.PayloadBuf(total, real)
-		for j, s := range sub.slot {
-			var blk buffer.Buf
-			if o := src[s]; o < 0 {
-				blk = recv.Slice(s*n, n)
-			} else {
-				blk = send.Slice(o, n)
-			}
-			p.Memcpy(pl.Slice(j*n, n), blk)
-		}
-		utag := tagRadixUniform + it.si
-		p.SendPayload(sub.dst, utag, pl)
-		in, err := recvStep(p, sub.src, utag, total)
-		if err != nil {
-			return err
-		}
-		for j, s := range sub.slot {
-			p.Memcpy(recv.Slice(s*n, n), in.Slice(j*n, n))
-			src[s] = -1
-		}
-		p.FreePayload(in)
-	}
-	return nil
-}
-
-// recvStep receives a uniform step's packed payload, which must hold
-// exactly n bytes. A shorter one means the peer packed another block
-// size (n differs across ranks); it is freed and reported instead of
-// being unpacked past its end.
-func recvStep(p *mpi.Proc, src, tag, n int) (buffer.Buf, error) {
-	in := p.RecvPayload(src, tag, n)
-	if in.Len() != n {
-		p.FreePayload(in)
-		return buffer.Buf{}, fmt.Errorf("coll: rank %d: step message from rank %d holds %d bytes, want %d: block size differs across ranks",
-			p.Rank(), src, in.Len(), n)
-	}
-	return in, nil
+	return st.exchange(p, send, sdispls, recv, nil, nil)
 }

@@ -4,11 +4,13 @@ package coll
 //
 // Every Bruck-type algorithm walks one schedule: radixWalk, the radix-r
 // step sequence of one rank, each step carrying its partner ranks and
-// the relative slots it moves. The binary uniform variants and SLOAV
-// (uniform.go, uniform_dt.go, sloav.go) walk it at r=2; zero-rotation
-// (radix.go) and the two-phase exchange (twophase.go) at any radix.
-// Only the persistent Alltoallv handle freezes it (buildRadixSchedule)
-// and replays it without the metadata exchange (persistent.go). The
+// the relative slots it moves. Zero-rotation (radix.go), modified Bruck
+// (uniform.go) and the two-phase exchange with its persistent handle
+// (twophase.go, persistent.go) run one packed step loop over it,
+// twoPhaseState.exchange; basic Bruck, the datatype variants and SLOAV
+// (uniform.go, uniform_dt.go, sloav.go) walk it at r=2 in loops of
+// their own. Nothing keeps a frozen copy: a pass is O(log P) partner
+// arithmetic plus the slot lists, all local and unpriced. The
 // dissemination, recursive-doubling and recursive-halving family
 // algorithms (allgatherv.go, allreduce.go, reducescatter.go) need only
 // a distance or an XOR mask per step, so each runs a plain for loop
@@ -31,25 +33,6 @@ type schedStep struct {
 	// the slots below step·r, whose k-th digit is their highest nonzero
 	// one.
 	final int
-}
-
-// schedule is one rank's frozen radix-r Alltoallv plan.
-type schedule struct {
-	rank, r int
-	steps   []schedStep
-}
-
-// buildRadixSchedule freezes the radix-r walk of one rank, deep-copying
-// each step. It is pure local computation; the caller prices it.
-func buildRadixSchedule(P, rank, r int) *schedule {
-	sc := &schedule{rank: rank, r: r}
-	for it := newRadixWalk(P, rank, r, nil, nil); it.next(); {
-		st := it.st
-		st.rel = append([]int(nil), st.rel...)
-		st.slot = append([]int(nil), st.slot...)
-		sc.steps = append(sc.steps, st)
-	}
-	return sc
 }
 
 // radixWalk iterates the radix-r Bruck schedule of one rank: one step

@@ -117,41 +117,6 @@ func TestRadixSubTagsInjective(t *testing.T) {
 	}
 }
 
-// TestBuildScheduleMatchesIterator pins each frozen radix schedule to
-// the live walk the immediate algorithms run: same step count,
-// partners, block lists, and final-hop prefixes.
-func TestBuildScheduleMatchesIterator(t *testing.T) {
-	for _, P := range []int{1, 2, 9, 33, 64} {
-		for _, rank := range []int{0, P / 2, P - 1} {
-			for _, r := range []int{2, 3, 7, 17} {
-				var live []schedStep
-				for it := newRadixWalk(P, rank, r, nil, nil); it.next(); {
-					if it.si != len(live) {
-						t.Fatalf("P=%d r=%d: walk index %d at step %d", P, r, it.si, len(live))
-					}
-					st := it.st
-					st.rel = append([]int(nil), st.rel...)
-					st.slot = append([]int(nil), st.slot...)
-					live = append(live, st)
-				}
-				sc := buildRadixSchedule(P, rank, r)
-				if len(live) != len(sc.steps) {
-					t.Errorf("P=%d r=%d rank=%d: walk ran %d steps, schedule froze %d", P, r, rank, len(live), len(sc.steps))
-					continue
-				}
-				for si, sub := range live {
-					got := sc.steps[si]
-					if got.step != sub.step || got.d != sub.d || got.dst != sub.dst || got.src != sub.src ||
-						got.final != sub.final || fmt.Sprint(got.rel) != fmt.Sprint(sub.rel) ||
-						fmt.Sprint(got.slot) != fmt.Sprint(sub.slot) {
-						t.Errorf("P=%d r=%d rank=%d step %d: schedule %+v != walk %+v", P, r, rank, si, got, sub)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestRadixWalkAllocationFree pins the reason the radix walk is an
 // iterator: given rel and slot scratch of maxDigitBlocks capacity,
 // walking a whole schedule, both lists included, allocates nothing.
@@ -173,14 +138,19 @@ func TestRadixWalkAllocationFree(t *testing.T) {
 }
 
 // TestRadixWalkSlots pins the walk's rotated slot list to its
-// definition, slot[j] = (rel[j] + rank) mod P, for every rank of every
-// P up to 70 at a spread of radices.
+// definition, slot[j] = (rel[j] + rank) mod P, and its running step
+// index, which the tags are built from, to 0, 1, 2, ..., for every rank
+// of every P up to 70 at a spread of radices.
 func TestRadixWalkSlots(t *testing.T) {
 	for P := 1; P <= 70; P++ {
 		for _, r := range []int{2, 3, 4, 7} {
 			for rank := 0; rank < P; rank++ {
-				for it := newRadixWalk(P, rank, r, nil, nil); it.next(); {
+				steps := 0
+				for it := newRadixWalk(P, rank, r, nil, nil); it.next(); steps++ {
 					sub := &it.st
+					if it.si != steps {
+						t.Fatalf("P=%d r=%d rank=%d: walk index %d at step %d", P, r, rank, it.si, steps)
+					}
 					if len(sub.slot) != len(sub.rel) {
 						t.Fatalf("P=%d r=%d rank=%d step %d: %d slots for %d blocks", P, r, rank, it.si, len(sub.slot), len(sub.rel))
 					}

@@ -98,35 +98,20 @@ func ModifiedBruck(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error {
 	}
 	done()
 
-	// Phase 2: the binary walk sends to rank-2^k and receives from
-	// rank+2^k, moving the blocks in the walk's rotated slots. No final
-	// rotation: recv ends correct.
+	// Phase 2: the radix-2 step loop (twoPhaseState.exchange) with
+	// recv as W, where the rotation put every block: it sends to
+	// rank-2^k and receives from rank+2^k. No final rotation: recv ends
+	// correct.
 	done = p.Phase(PhaseComm)
-	rel, slot := walkScratch(P, 2)
-	for it := newRadixWalk(P, rank, 2, rel, slot); it.next(); {
-		sub := &it.st
-		p.SetStep(it.si)
-		total := len(sub.slot) * n
-		pl := p.PayloadBuf(total, recv.Real())
-		for j, s := range sub.slot {
-			p.Memcpy(pl.Slice(j*n, n), recv.Slice(s*n, n))
-		}
-		tag := tagBruck + it.si
-		p.SendPayload(sub.dst, tag, pl)
-		in, err := recvStep(p, sub.src, tag, total)
-		if err != nil {
-			p.ClearStep()
-			done()
-			return err
-		}
-		for j, s := range sub.slot {
-			p.Memcpy(recv.Slice(s*n, n), in.Slice(j*n, n))
-		}
-		p.FreePayload(in)
+	defer done()
+	defer p.ClearStep()
+	var st twoPhaseState
+	st.init(p, 2, n, recv, tagBruck)
+	defer st.free(p)
+	for s := range st.blk {
+		st.blk[s] = ^n
 	}
-	p.ClearStep()
-	done()
-	return nil
+	return st.exchange(p, recv, nil, recv, nil, nil)
 }
 
 // ZeroRotationBruck is the paper's uniform contribution: it synthesizes

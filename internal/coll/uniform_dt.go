@@ -138,11 +138,15 @@ func ZeroCopyBruckDT(p *mpi.Proc, send buffer.Buf, n int, recv buffer.Buf) error
 		return tmp
 	}
 
+	// Relative slot i is absolute slot s = (i + rank) mod P, which
+	// starts out holding send block (2·rank − s) mod P: block rank at
+	// i = 0, then one lower per slot.
 	done := p.Phase(PhaseInitRotation)
-	for i := 0; i < P; i++ {
-		s := (i + rank) % P
-		src := ((2*rank-s)%P + P) % P
+	for i, s, src := 0, rank, rank; i < P; i, src = i+1, rotatedNext(src, P) {
 		p.Memcpy(slotBuf(i, 0).Slice(s*n, n), send.Slice(src*n, n))
+		if s++; s == P {
+			s = 0
+		}
 	}
 	done()
 
